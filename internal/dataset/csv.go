@@ -20,13 +20,6 @@ type InferOptions struct {
 	MaxCategorical int
 	// TextColumns forces the named columns to Text regardless of inference.
 	TextColumns []string
-	// Kinds forces the named columns to exact kinds, bypassing inference
-	// entirely for them. A column forced Numeric whose cells do not parse is
-	// an error. Remote oracle workers use this to reconstruct a dataset with
-	// the sender's schema, so string columns whose values happen to look
-	// numeric (e.g. "-1"/"1" class labels) do not silently change type in
-	// transit.
-	Kinds map[string]Kind
 	// ChunkSize sets the rows-per-chunk capacity of the parsed dataset's
 	// columns; 0 means DefaultChunkSize. Chunk size affects only
 	// copy-on-write and recomputation granularity — the parsed contents,
@@ -74,22 +67,6 @@ func ReadCSV(r io.Reader, opts InferOptions) (*Dataset, error) {
 		for i, rec := range rows {
 			cells[i] = rec[j]
 			null[i] = nullTokens[strings.TrimSpace(rec[j])]
-		}
-		if forced, ok := opts.Kinds[name]; ok {
-			if forced == Numeric {
-				nums, perr := parseNumericCells(name, cells, null)
-				if perr != nil {
-					return nil, perr
-				}
-				if err := d.AddNumericColumn(name, nums, null); err != nil {
-					return nil, err
-				}
-			} else {
-				if err := d.addColumn(newColumn(name, forced, nil, cells, null, csize)); err != nil {
-					return nil, err
-				}
-			}
-			continue
 		}
 		if !forcedText[name] && allNumeric(cells, null) {
 			nums, perr := parseNumericCells(name, cells, null)

@@ -1,8 +1,10 @@
 package remote_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"os"
 	"testing"
 	"time"
 
@@ -63,6 +65,52 @@ func BenchmarkFleetThroughput(b *testing.B) {
 					}
 				}
 			})
+		})
+	}
+}
+
+// BenchmarkRequestCodec measures one request's encode plus decode on a
+// rows×20 dataset (10 numeric columns with ~1% NULLs, 10 categorical over
+// 12 values): the CSV body of protocol v1 (WriteCSV + ReadCSV) against the
+// binary frame. wire-B/op is the request size. 1M rows runs only with
+// DATAPRISM_BENCH_LARGE set; its frame exceeds one request's cap, so the
+// benchmark lifts the cap to time the codec alone.
+func BenchmarkRequestCodec(b *testing.B) {
+	sizes := []int{100_000}
+	if os.Getenv("DATAPRISM_BENCH_LARGE") != "" {
+		sizes = append(sizes, 1_000_000)
+	}
+	for _, rows := range sizes {
+		d := remote.MixedDataset(rows, 1)
+		b.Run(fmt.Sprintf("csv/rows=%d", rows), func(b *testing.B) {
+			b.ReportAllocs()
+			var wire int
+			for i := 0; i < b.N; i++ {
+				var buf bytes.Buffer
+				if err := d.WriteCSV(&buf); err != nil {
+					b.Fatal(err)
+				}
+				wire = buf.Len()
+				if _, err := dataset.ReadCSV(&buf, dataset.InferOptions{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(wire), "wire-B/op")
+		})
+		b.Run(fmt.Sprintf("frame/rows=%d", rows), func(b *testing.B) {
+			b.ReportAllocs()
+			var wire int
+			for i := 0; i < b.N; i++ {
+				frame, err := remote.EncodeRequestUncapped(d)
+				if err != nil {
+					b.Fatal(err)
+				}
+				wire = len(frame)
+				if _, _, err := remote.DecodeRequest(frame[4:]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(wire), "wire-B/op")
 		})
 	}
 }

@@ -41,7 +41,7 @@ type Config struct {
 	HedgeAfter time.Duration
 	// RetryMax, RetryBaseDelay, RetryMaxDelay parameterize the per-worker
 	// pipeline.Retry (zero values mean that type's defaults).
-	RetryMax      int
+	RetryMax       int
 	RetryBaseDelay time.Duration
 	RetryMaxDelay  time.Duration
 	// BreakerThreshold and BreakerCooldown parameterize the per-worker
@@ -179,13 +179,15 @@ func (f *FleetSystem) healthyOrder() []*fleetWorker {
 // successful answer wins; since every worker computes the same pure score,
 // which worker answers never changes the result.
 func (f *FleetSystem) TryMalfunctionScore(ctx context.Context, d *dataset.Dataset) pipeline.ScoreResult {
-	order := f.healthyOrder()
-	if len(order) == 0 {
-		return f.degrade(ctx, d, 0)
-	}
+	// Encode before consulting fleet health, so a dataset the wire cannot
+	// carry fails the same way whether or not any worker is up.
 	req, err := encodeRequest(d)
 	if err != nil {
 		return pipeline.ScoreResult{Score: math.NaN(), Err: err}
+	}
+	order := f.healthyOrder()
+	if len(order) == 0 {
+		return f.degrade(ctx, d, 0)
 	}
 	ctx = withPayload(ctx, req)
 

@@ -74,7 +74,7 @@ func TestProtocolRoundTrip(t *testing.T) {
 		{Score: math.NaN(), Err: errors.New("bad config"), Attempts: 1},
 	}
 	for i, want := range cases {
-		got, err := decodeResponse(encodeResponse(want))
+		got, err := decodeResponse(encodeResponse(want)[4:])
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -96,28 +96,24 @@ func TestProtocolRoundTrip(t *testing.T) {
 	}
 
 	d := flagData(0.5)
-	payload, err := encodeRequest(d)
+	frame, err := encodeRequest(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var framed bytes.Buffer
-	if err := writeFrame(&framed, payload); err != nil {
-		t.Fatal(err)
-	}
-	fp, ok := parseRequestFingerprint(framed.Bytes())
+	fp, ok := parseRequestFingerprint(frame)
 	if !ok || fp != d.Fingerprint() {
 		t.Fatalf("parseRequestFingerprint = %x, %v, want %x", fp, ok, d.Fingerprint())
 	}
-	fp2, opts, csv, err := decodeRequest(payload)
+	payload, err := readFrame(bytes.NewReader(frame))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp2, back, err := decodeRequest(payload)
 	if err != nil || fp2 != d.Fingerprint() {
 		t.Fatalf("decodeRequest = %x, %v, want %x", fp2, err, d.Fingerprint())
 	}
-	if opts.Kinds["flag"] != dataset.Numeric {
-		t.Fatalf("schema lost in transit: %v", opts.Kinds)
-	}
-	back, err := dataset.ReadCSV(bytes.NewReader(csv), opts)
-	if err != nil {
-		t.Fatal(err)
+	if col := back.Column("x"); col == nil || col.Kind != dataset.Numeric {
+		t.Fatalf("schema lost in transit: %v", back)
 	}
 	if back.Fingerprint() != d.Fingerprint() {
 		t.Fatalf("round-tripped fingerprint %x, want %x", back.Fingerprint(), d.Fingerprint())
@@ -127,26 +123,22 @@ func TestProtocolRoundTrip(t *testing.T) {
 // TestProtocolSchemaPinsStringKinds is the regression test for the sentiment
 // scenario's panic: a string column whose every value parses as a float must
 // come back Categorical/Text on the worker side, not silently re-typed
-// Numeric by CSV inference.
+// Numeric.
 func TestProtocolSchemaPinsStringKinds(t *testing.T) {
 	d := dataset.New()
 	if err := d.AddCategoricalColumn("target", []string{"-1", "1", "-1"}, nil); err != nil {
 		t.Fatal(err)
 	}
-	payload, err := encodeRequest(d)
+	frame, err := encodeRequest(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, opts, csv, err := decodeRequest(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := dataset.ReadCSV(bytes.NewReader(csv), opts)
+	_, back, err := decodeRequest(frame[4:])
 	if err != nil {
 		t.Fatal(err)
 	}
 	col := back.Column("target")
-	if col == nil || col.Kind == dataset.Numeric {
+	if col == nil || col.Kind != dataset.Categorical {
 		t.Fatalf("string column re-typed in transit: %+v", col)
 	}
 	if got := col.StrAt(1); got != "1" {
@@ -428,8 +420,9 @@ func TestNetFaultInjectorDeterministicRecovery(t *testing.T) {
 }
 
 func TestFleetRejectsUndecodableDataset(t *testing.T) {
-	// A worker that never gets a valid dataset: the client sends CSV the
-	// worker cannot parse — simulated by a scorer-side permanent error.
+	// A worker that cannot score the dataset it was sent — simulated by a
+	// scorer-side permanent error; TestWorkerAnswersUndecodableRequestPermanently
+	// sends frames that do not decode.
 	sys := &pipeline.TryFunc{SystemName: "perm", Try: func(context.Context, *dataset.Dataset) pipeline.ScoreResult {
 		return pipeline.ScoreResult{Score: math.NaN(), Err: errors.New("unsupported schema")}
 	}}

@@ -15,7 +15,7 @@ import (
 // default. Tests and chaos suites substitute fault-injecting dialers.
 type DialFunc func(ctx context.Context, network, addr string) (net.Conn, error)
 
-// payloadKey carries a pre-encoded request payload through the per-worker
+// payloadKey carries a pre-encoded request frame through the per-worker
 // wrapper stack, so one evaluation hedged or retried across workers
 // serializes the dataset exactly once.
 type payloadKey struct{}
@@ -64,9 +64,11 @@ func newTransport(addr string, dial DialFunc, dialTimeout time.Duration) *transp
 func (t *transport) Name() string { return "remote(" + t.addr + ")" }
 
 // TryMalfunctionScore implements FallibleSystem: one framed round trip,
-// holding the connection for its duration. Cancellation and deadlines
-// propagate by expiring the connection deadline, which unblocks any
-// in-flight read or write.
+// holding the connection for its duration. The request frame goes out as a
+// single Write, so network-level fault injection observes whole frames. A
+// dataset that cannot be encoded fails permanently before any dial.
+// Cancellation and deadlines propagate by expiring the connection deadline,
+// which unblocks any in-flight read or write.
 func (t *transport) TryMalfunctionScore(ctx context.Context, d *dataset.Dataset) pipeline.ScoreResult {
 	if err := ctx.Err(); err != nil {
 		return transientFailure(0, "not dispatched", pipeline.ContextFailure(ctx))
@@ -98,7 +100,7 @@ func (t *transport) TryMalfunctionScore(ctx context.Context, d *dataset.Dataset)
 	// serialized, and the AfterFunc above expires the connection deadline on
 	// cancellation, which unblocks the write/read from under the lock.
 	//lint:ignore lockorder round trips on the persistent conn must serialize, and the ctx AfterFunc deadline interrupts the blocked I/O
-	if err := writeFrame(conn, req); err != nil {
+	if _, err := conn.Write(req); err != nil {
 		t.drop(conn)
 		return transientFailure(0, "send to "+t.addr, err)
 	}

@@ -1,7 +1,6 @@
 package remote
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -9,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/dataset"
 	"repro/internal/pipeline"
 )
 
@@ -56,7 +54,7 @@ func (w *Worker) Serve(ctx context.Context, ln net.Listener) error {
 }
 
 // serveConn answers score requests on one connection until the peer hangs
-// up, a frame is malformed, or ctx is cancelled (which unblocks any
+// up, a frame cannot be read whole, or ctx is cancelled (which unblocks any
 // in-flight read by expiring the connection's deadline).
 func (w *Worker) serveConn(ctx context.Context, conn net.Conn) {
 	defer conn.Close()
@@ -67,34 +65,31 @@ func (w *Worker) serveConn(ctx context.Context, conn net.Conn) {
 		if err != nil {
 			return // peer closed, deadline expired, or garbage framing
 		}
-		fp, opts, csv, err := decodeRequest(payload)
-		if err != nil {
-			w.logf("remote worker: %s: %v", conn.RemoteAddr(), err)
-			return
-		}
-		res := w.score(ctx, opts, csv)
-		if err := writeFrame(conn, encodeResponse(res)); err != nil {
+		fp, res := w.score(ctx, payload)
+		if _, err := conn.Write(encodeResponse(res)); err != nil {
 			w.logf("remote worker: %s: reply for %016x: %v", conn.RemoteAddr(), fp, err)
 			return
 		}
 	}
 }
 
-// score decodes the dataset with the sender's schema and evaluates it. A
-// payload that does not parse is a permanent failure — retrying the same
-// bytes cannot help. A scorer panic is likewise answered as a permanent
-// failure instead of killing the worker process: one poisoned dataset must
-// not take the whole fleet member down.
-func (w *Worker) score(ctx context.Context, opts dataset.InferOptions, csv []byte) (res pipeline.ScoreResult) {
+// score decodes a request and evaluates its dataset. A request that was
+// read whole but does not decode is a permanent failure — retrying the same
+// bytes cannot help — answered on the still-synchronized connection. A
+// scorer panic is likewise answered as a permanent failure instead of
+// killing the worker process: one poisoned dataset must not take the whole
+// fleet member down.
+func (w *Worker) score(ctx context.Context, payload []byte) (fp uint64, res pipeline.ScoreResult) {
 	defer func() {
 		if r := recover(); r != nil {
 			w.logf("remote worker: scorer panic: %v", r)
 			res = pipeline.ScoreResult{Score: math.NaN(), Err: fmt.Errorf("remote worker: scorer panic: %v", r)}
 		}
 	}()
-	d, err := dataset.ReadCSV(bytes.NewReader(csv), opts)
+	fp, d, err := decodeRequest(payload)
 	if err != nil {
-		return pipeline.ScoreResult{Score: math.NaN(), Err: err}
+		w.logf("remote worker: %v", err)
+		return fp, pipeline.ScoreResult{Score: math.NaN(), Err: err}
 	}
-	return w.System.TryMalfunctionScore(ctx, d)
+	return fp, w.System.TryMalfunctionScore(ctx, d)
 }
