@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint lint-sarif vet bench
+.PHONY: build test race lint lint-sarif vet bench bench-ml
 
 build:
 	$(GO) build ./...
@@ -28,3 +28,8 @@ vet:
 
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
+
+# The model-fitting micro-benchmarks (the Income-shaped forest among them),
+# with allocations, five runs each for comparing two commits.
+bench-ml:
+	$(GO) test -run='^$$' -bench=. -benchmem -count=5 ./internal/ml/

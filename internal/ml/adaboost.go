@@ -27,8 +27,9 @@ func (s *stump) predict(x []float64) int {
 type AdaBoost struct {
 	// Rounds is the number of boosting rounds (default 50).
 	Rounds int
-	// MaxThresholds caps the stump threshold candidates per feature
-	// (default 32).
+	// MaxThresholds caps the stump threshold candidates per feature, as
+	// DecisionTree.MaxThresholds does (default 32, also taken by a negative
+	// cap).
 	MaxThresholds int
 
 	stumps []stump
@@ -39,7 +40,7 @@ func (a *AdaBoost) Fit(X [][]float64, y []int) {
 	if a.Rounds == 0 {
 		a.Rounds = 50
 	}
-	if a.MaxThresholds == 0 {
+	if a.MaxThresholds <= 0 {
 		a.MaxThresholds = 32
 	}
 	n := len(X)
@@ -65,14 +66,11 @@ func (a *AdaBoost) Fit(X [][]float64, y []int) {
 				mids = append(mids, (vals[i]+vals[i-1])/2)
 			}
 		}
-		if len(mids) > a.MaxThresholds {
-			sub := make([]float64, a.MaxThresholds)
-			for k := 0; k < a.MaxThresholds; k++ {
-				sub[k] = mids[k*(len(mids)-1)/(a.MaxThresholds-1)]
-			}
-			mids = sub
+		kept := make([]float64, min(len(mids), a.MaxThresholds))
+		for k := range kept {
+			kept[k] = mids[keptThreshold(k, len(mids), a.MaxThresholds)]
 		}
-		thresholds[j] = mids
+		thresholds[j] = kept
 	}
 	a.stumps = nil
 	for round := 0; round < a.Rounds; round++ {

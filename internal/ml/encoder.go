@@ -84,49 +84,52 @@ func (e *Encoder) Encode(d *dataset.Dataset) (X [][]float64, y, rows []int, err 
 	if lc == nil {
 		return nil, nil, nil, fmt.Errorf("ml: label attribute %q not found", e.label)
 	}
-	for _, s := range e.specs {
-		if d.Column(s.attr) == nil {
+	cols := make([]*dataset.Column, len(e.specs))
+	for i, s := range e.specs {
+		if cols[i] = d.Column(s.attr); cols[i] == nil {
 			return nil, nil, nil, fmt.Errorf("ml: feature attribute %q not found", s.attr)
 		}
 	}
 	for r := 0; r < d.NumRows(); r++ {
-		if lc.NullAt(r) {
-			continue
+		if !lc.NullAt(r) {
+			rows = append(rows, r)
 		}
-		x := make([]float64, e.width)
-		for _, s := range e.specs {
-			c := d.Column(s.attr)
-			if s.numeric {
-				if c.Kind != dataset.Numeric {
-					return nil, nil, nil, fmt.Errorf("ml: attribute %q changed kind", s.attr)
-				}
-				if c.NullAt(r) {
-					x[s.offset] = s.mean
-				} else {
-					x[s.offset] = c.NumAt(r)
-				}
-				continue
-			}
-			if c.Kind == dataset.Numeric {
-				return nil, nil, nil, fmt.Errorf("ml: attribute %q changed kind", s.attr)
-			}
-			if !c.NullAt(r) {
-				if i, ok := s.index[c.StrAt(r)]; ok {
-					x[s.offset+i] = 1
+	}
+	if len(rows) == 0 {
+		return nil, nil, nil, nil
+	}
+	for i, s := range e.specs {
+		if s.numeric != (cols[i].Kind == dataset.Numeric) {
+			return nil, nil, nil, fmt.Errorf("ml: attribute %q changed kind", s.attr)
+		}
+	}
+	// Every row of X is cut from one backing array.
+	back := make([]float64, len(rows)*e.width)
+	X = make([][]float64, len(rows))
+	y = make([]int, len(rows))
+	for k, r := range rows {
+		x := back[k*e.width : (k+1)*e.width : (k+1)*e.width]
+		for i, s := range e.specs {
+			c := cols[i]
+			switch {
+			case s.numeric && c.NullAt(r):
+				x[s.offset] = s.mean
+			case s.numeric:
+				x[s.offset] = c.NumAt(r)
+			case !c.NullAt(r):
+				if l, ok := s.index[c.StrAt(r)]; ok {
+					x[s.offset+l] = 1
 				}
 			}
 		}
-		X = append(X, x)
-		var cls int
+		X[k] = x
 		if lc.Kind == dataset.Numeric {
 			if lc.NumAt(r) > 0.5 {
-				cls = 1
+				y[k] = 1
 			}
 		} else if lc.StrAt(r) == e.positive {
-			cls = 1
+			y[k] = 1
 		}
-		y = append(y, cls)
-		rows = append(rows, r)
 	}
 	return X, y, rows, nil
 }

@@ -1,8 +1,10 @@
 package ml
 
 import (
+	"cmp"
+	"math"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // DecisionTree is a CART binary classifier: axis-aligned threshold splits
@@ -14,7 +16,8 @@ type DecisionTree struct {
 	// (default 2).
 	MinLeaf int
 	// MaxThresholds caps the candidate split thresholds per feature; values
-	// beyond the cap are subsampled by quantile (default 32).
+	// beyond the cap are subsampled by quantile, and a cap of 1 keeps the
+	// middle one (default 32, also taken by a negative cap).
 	MaxThresholds int
 	// Features optionally restricts splits to a feature subset (used by
 	// random forests); nil means all features.
@@ -39,7 +42,7 @@ func (t *DecisionTree) fillDefaults() {
 	if t.MinLeaf == 0 {
 		t.MinLeaf = 2
 	}
-	if t.MaxThresholds == 0 {
+	if t.MaxThresholds <= 0 {
 		t.MaxThresholds = 32
 	}
 }
@@ -47,118 +50,241 @@ func (t *DecisionTree) fillDefaults() {
 // Fit trains the tree on a feature matrix and binary labels.
 func (t *DecisionTree) Fit(X [][]float64, y []int) {
 	t.fillDefaults()
-	idx := make([]int, len(X))
-	for i := range idx {
-		idx[i] = i
-	}
-	t.root = t.build(X, y, idx, 0)
+	t.root = newGrower(X, y).grow(t, nil)
 }
 
-// gini returns the Gini impurity of the label multiset at idx.
-func gini(y []int, idx []int) float64 {
-	if len(idx) == 0 {
+// gini returns the Gini impurity of n labels of which ones are class 1.
+func gini(ones, n int) float64 {
+	if n == 0 {
 		return 0
 	}
-	ones := 0
-	for _, i := range idx {
-		ones += y[i]
-	}
-	p := float64(ones) / float64(len(idx))
+	p := float64(ones) / float64(n)
 	return 2 * p * (1 - p)
 }
 
-// majority returns the majority class at idx (ties → class 1).
-func majority(y []int, idx []int) int {
-	ones := 0
-	for _, i := range idx {
-		ones += y[i]
-	}
-	if 2*ones >= len(idx) {
+// majority returns the majority class of n labels of which ones are class 1
+// (ties → class 1).
+func majority(ones, n int) int {
+	if 2*ones >= n {
 		return 1
 	}
 	return 0
 }
 
-func (t *DecisionTree) build(X [][]float64, y []int, idx []int, depth int) *treeNode {
-	node := &treeNode{leaf: true, class: majority(y, idx)}
-	if depth >= t.MaxDepth || len(idx) < 2*t.MinLeaf || gini(y, idx) == 0 {
-		return node
+// keptThreshold returns the index, among n ascending candidate midpoints, of
+// the k-th of the min(n, limit) thresholds a split search tries: every
+// midpoint when n ≤ limit, else quantile-spaced ones, and the middle one
+// when limit is 1.
+func keptThreshold(k, n, limit int) int {
+	switch {
+	case n <= limit:
+		return k
+	case limit == 1:
+		return (n - 1) / 2
 	}
-	features := t.Features
-	if features == nil {
-		features = make([]int, len(X[0]))
-		for j := range features {
-			features[j] = j
+	return k * (n - 1) / (limit - 1)
+}
+
+// grower fits CART trees on one training matrix. Each feature's rows are
+// sorted once, on first use, so a forest sorts a feature once per fit
+// rather than at every node of every tree. A tree's node owns one range of
+// positions in every one of its per-feature lists; each list holds the
+// node's rows in ascending order of that feature, so a split search is one
+// sweep per feature and a split is a stable partition of each list.
+type grower struct {
+	X [][]float64
+	y []int
+	// cols[j][r] is X[r][j], and sorted[j] holds rows 0..n-1 in ascending
+	// order of it, NaN first as sort.Float64s orders them. Both stay nil
+	// until a tree uses feature j.
+	cols   [][]float64
+	sorted [][]int
+	// The buffers below are sized for one tree and reused by the next.
+	t        *DecisionTree
+	features []int
+	// lists[f] holds the tree's rows, once per bootstrap draw, in
+	// ascending order of feature features[f].
+	lists   [][]int
+	goLeft  []int // by row: 1 if the split being applied sends it left, else 0
+	scratch []int
+	mids    []float64
+}
+
+func newGrower(X [][]float64, y []int) *grower {
+	g := &grower{X: X, y: y, goLeft: make([]int, len(X)), scratch: make([]int, len(X))}
+	if len(X) > 0 {
+		g.sorted = make([][]int, len(X[0]))
+		g.cols = make([][]float64, len(X[0]))
+	}
+	return g
+}
+
+// grow fits t, whose defaults are filled, on the rows of g.X drawn counts[r]
+// times each (every row once when counts is nil) and returns its root.
+func (g *grower) grow(t *DecisionTree, counts []int) *treeNode {
+	g.t, g.features = t, t.Features
+	if g.features == nil {
+		g.features = make([]int, len(g.sorted))
+		for j := range g.features {
+			g.features[j] = j
 		}
 	}
-	bestGain := 1e-12
-	bestFeature, bestThreshold := -1, 0.0
-	parentImpurity := gini(y, idx)
-	for _, j := range features {
-		thresholds := t.candidateThresholds(X, idx, j)
-		for _, thr := range thresholds {
-			var lOnes, lN, rOnes, rN int
-			for _, i := range idx {
-				if X[i][j] <= thr {
-					lN++
-					lOnes += y[i]
-				} else {
-					rN++
-					rOnes += y[i]
-				}
+	for len(g.lists) < len(g.features) {
+		g.lists = append(g.lists, make([]int, 0, len(g.X)))
+	}
+	n, ones := 0, 0
+	for r := range g.X {
+		c := 1
+		if counts != nil {
+			c = counts[r]
+		}
+		n += c
+		ones += c * g.y[r]
+	}
+	if n == 0 {
+		return g.build(0, 0, 0, 0) // a leaf, before any feature is read
+	}
+	for f, j := range g.features {
+		if g.sorted[j] == nil {
+			g.cols[j] = make([]float64, len(g.X))
+			for r, x := range g.X {
+				g.cols[j][r] = x[j]
 			}
-			if lN < t.MinLeaf || rN < t.MinLeaf {
+			g.sorted[j] = sortedRows(g.cols[j])
+		}
+		list := g.lists[f][:0]
+		for _, r := range g.sorted[j] {
+			c := 1
+			if counts != nil {
+				c = counts[r]
+			}
+			for ; c > 0; c-- {
+				list = append(list, r)
+			}
+		}
+		g.lists[f] = list
+	}
+	return g.build(0, n, ones, 0)
+}
+
+// sortedRows returns the rows of col in ascending order of value, NaN
+// first.
+func sortedRows(col []float64) []int {
+	rows := make([]int, len(col))
+	for r := range rows {
+		rows[r] = r
+	}
+	slices.SortFunc(rows, func(a, b int) int { return cmp.Compare(col[a], col[b]) })
+	return rows
+}
+
+// build grows the subtree over list positions [lo, hi), which hold ones
+// class-1 rows.
+func (g *grower) build(lo, hi, ones, depth int) *treeNode {
+	n := hi - lo
+	node := &treeNode{leaf: true, class: majority(ones, n)}
+	impurity := gini(ones, n)
+	if depth >= g.t.MaxDepth || n < 2*g.t.MinLeaf || impurity == 0 {
+		return node
+	}
+	f, threshold := g.bestSplit(lo, hi, ones, impurity)
+	if f < 0 {
+		return node
+	}
+	mid, leftOnes := g.partition(lo, hi, f, threshold)
+	node.leaf = false
+	node.feature = g.features[f]
+	node.threshold = threshold
+	node.left = g.build(lo, mid, leftOnes, depth+1)
+	node.right = g.build(mid, hi, ones-leftOnes, depth+1)
+	return node
+}
+
+// bestSplit returns the list index f and threshold of the split with the
+// largest Gini gain over parent at the node [lo, hi), or f = -1 if none
+// gains more than 1e-12. The candidates are the midpoints between
+// consecutive distinct values, thinned by keptThreshold. Features and
+// thresholds are tried in order and only a strictly larger gain wins, so
+// ties go to the first.
+func (g *grower) bestSplit(lo, hi, ones int, parent float64) (best int, threshold float64) {
+	n := hi - lo
+	best = -1
+	bestGain := 1e-12
+	for f, j := range g.features {
+		list, col := g.lists[f][lo:hi], g.cols[j]
+		mids := g.mids[:0]
+		prev := col[list[0]]
+		for _, r := range list[1:] {
+			v := col[r]
+			if v != prev {
+				mids = append(mids, (v+prev)/2)
+			}
+			prev = v
+		}
+		g.mids = mids
+		// NaN values sort first and compare false with every threshold, so
+		// the left side starts after them. p only moves forward: midpoints
+		// of ascending values never decrease, even where they round or
+		// overflow to ±Inf, and NaN midpoints (next to a NaN value, or
+		// between -Inf and +Inf) are skipped.
+		p := 0
+		for p < n && math.IsNaN(col[list[p]]) {
+			p++
+		}
+		nan, lOnes := p, 0
+		for k := range min(len(mids), g.t.MaxThresholds) {
+			thr := mids[keptThreshold(k, len(mids), g.t.MaxThresholds)]
+			if math.IsNaN(thr) {
+				continue // no value is <= NaN: the left side would be empty
+			}
+			for p < n && col[list[p]] <= thr {
+				lOnes += g.y[list[p]]
+				p++
+			}
+			lN := p - nan
+			rN, rOnes := n-lN, ones-lOnes
+			if lN < g.t.MinLeaf || rN < g.t.MinLeaf {
 				continue
 			}
 			pl := float64(lOnes) / float64(lN)
 			pr := float64(rOnes) / float64(rN)
-			impurity := (float64(lN)*2*pl*(1-pl) + float64(rN)*2*pr*(1-pr)) / float64(len(idx))
-			if gain := parentImpurity - impurity; gain > bestGain {
-				bestGain, bestFeature, bestThreshold = gain, j, thr
+			impurity := (float64(lN)*2*pl*(1-pl) + float64(rN)*2*pr*(1-pr)) / float64(n)
+			if gain := parent - impurity; gain > bestGain {
+				bestGain, best, threshold = gain, f, thr
 			}
 		}
 	}
-	if bestFeature < 0 {
-		return node
-	}
-	var li, ri []int
-	for _, i := range idx {
-		if X[i][bestFeature] <= bestThreshold {
-			li = append(li, i)
-		} else {
-			ri = append(ri, i)
-		}
-	}
-	node.leaf = false
-	node.feature = bestFeature
-	node.threshold = bestThreshold
-	node.left = t.build(X, y, li, depth+1)
-	node.right = t.build(X, y, ri, depth+1)
-	return node
+	return best, threshold
 }
 
-// candidateThresholds returns midpoints between consecutive distinct values
-// of feature j at idx, subsampled to MaxThresholds by quantile.
-func (t *DecisionTree) candidateThresholds(X [][]float64, idx []int, j int) []float64 {
-	vals := make([]float64, 0, len(idx))
-	for _, i := range idx {
-		vals = append(vals, X[i][j])
-	}
-	sort.Float64s(vals)
-	var mids []float64
-	for i := 1; i < len(vals); i++ {
-		if vals[i] != vals[i-1] {
-			mids = append(mids, (vals[i]+vals[i-1])/2)
+// partition splits positions [lo, hi) of every list stably into the rows
+// with X[r][features[f]] <= threshold, then the rest, so both halves stay
+// sorted. It returns where the right half starts and the left half's
+// class-1 count.
+func (g *grower) partition(lo, hi, f int, threshold float64) (mid, leftOnes int) {
+	col := g.cols[g.features[f]]
+	for _, r := range g.lists[f][lo:hi] {
+		g.goLeft[r] = 0
+		if col[r] <= threshold {
+			g.goLeft[r] = 1
+			leftOnes += g.y[r]
 		}
 	}
-	if len(mids) <= t.MaxThresholds {
-		return mids
+	for _, list := range g.lists[:len(g.features)] {
+		// Branch-free: every row is written to both sides and only the
+		// side it belongs to advances.
+		w, s := lo, 0
+		for _, r := range list[lo:hi] {
+			left := g.goLeft[r]
+			list[w] = r
+			g.scratch[s] = r
+			w += left
+			s += 1 - left
+		}
+		copy(list[w:hi], g.scratch[:s])
+		mid = w
 	}
-	out := make([]float64, t.MaxThresholds)
-	for k := 0; k < t.MaxThresholds; k++ {
-		out[k] = mids[k*(len(mids)-1)/(t.MaxThresholds-1)]
-	}
-	return out
+	return mid, leftOnes
 }
 
 // Predict implements Classifier.
@@ -215,21 +341,19 @@ func (f *RandomForest) Fit(X [][]float64, y []int) {
 	if mtry > d {
 		mtry = d
 	}
+	// Each tree trains on a bootstrap sample, kept as a draw count per row
+	// so that the grower's presorted rows serve every tree.
+	g := newGrower(X, y)
+	counts := make([]int, n)
 	f.ensemble = nil
 	for b := 0; b < f.Trees; b++ {
-		bi := make([]int, n)
-		for i := range bi {
-			bi[i] = rng.Intn(n)
+		clear(counts)
+		for range n {
+			counts[rng.Intn(n)]++
 		}
-		bx := make([][]float64, n)
-		by := make([]int, n)
-		for i, src := range bi {
-			bx[i] = X[src]
-			by[i] = y[src]
-		}
-		features := rng.Perm(d)[:mtry]
-		tree := &DecisionTree{MaxDepth: f.MaxDepth, Features: features}
-		tree.Fit(bx, by)
+		tree := &DecisionTree{MaxDepth: f.MaxDepth, Features: rng.Perm(d)[:mtry]}
+		tree.fillDefaults()
+		tree.root = g.grow(tree, counts)
 		f.ensemble = append(f.ensemble, tree)
 	}
 }
