@@ -30,6 +30,7 @@ bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
 # The model-fitting micro-benchmarks (the Income-shaped forest among them),
-# with allocations, five runs each for comparing two commits.
+# with allocations, five runs each for comparing two commits, on one and
+# two cores so that the parallel forest fit's scaling shows.
 bench-ml:
-	$(GO) test -run='^$$' -bench=. -benchmem -count=5 ./internal/ml/
+	$(GO) test -run='^$$' -bench=. -benchmem -count=5 -cpu 1,2 ./internal/ml/

@@ -13,9 +13,10 @@ package ml
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
 
 	"repro/internal/dataset"
-	"repro/internal/stats"
 )
 
 // Encoder turns dataset rows into dense numeric feature vectors. Feature
@@ -51,10 +52,7 @@ func NewEncoder(train *dataset.Dataset, features []string, label, positive strin
 		spec := featureSpec{attr: attr, offset: e.width}
 		if c.Kind == dataset.Numeric {
 			spec.numeric = true
-			spec.mean = stats.Mean(train.NumericValues(attr))
-			if math.IsNaN(spec.mean) {
-				spec.mean = 0
-			}
+			spec.mean = nonNullMean(c)
 			e.width++
 		} else {
 			spec.levels = train.DistinctStrings(attr)
@@ -70,6 +68,26 @@ func NewEncoder(train *dataset.Dataset, features []string, label, positive strin
 		return nil, fmt.Errorf("ml: label attribute %q not found", label)
 	}
 	return e, nil
+}
+
+// nonNullMean returns the mean of a numeric column's non-NULL cells, or 0
+// when there are none or the mean is NaN. It sums them in row order, as
+// stats.Mean sums the column's NumericValues, so the two agree to the bit.
+func nonNullMean(c *dataset.Column) float64 {
+	sum, n := 0.0, 0
+	for i := range c.NumChunks() {
+		ch := c.Chunk(i)
+		for k, v := range ch.Nums {
+			if !ch.Null[k] {
+				sum += v
+				n++
+			}
+		}
+	}
+	if mean := sum / float64(n); !math.IsNaN(mean) {
+		return mean
+	}
+	return 0
 }
 
 // Width returns the encoded feature-vector length.
@@ -136,15 +154,32 @@ func (e *Encoder) Encode(d *dataset.Dataset) (X [][]float64, y, rows []int, err 
 
 // Classifier is a trained binary classifier over encoded feature vectors.
 type Classifier interface {
-	// Predict returns the class (0 or 1) for a feature vector.
+	// Predict returns the class (0 or 1) for a feature vector. It must be
+	// safe for concurrent use: PredictAll calls it from several goroutines.
 	Predict(x []float64) int
 }
 
-// PredictAll applies a classifier to every row of a feature matrix.
+// minPredictRows is the fewest rows PredictAll gives one goroutine, so that
+// starting it costs little beside the predictions.
+const minPredictRows = 256
+
+// PredictAll applies a classifier to every row of a feature matrix,
+// splitting the rows into up to GOMAXPROCS contiguous ranges predicted in
+// parallel.
 func PredictAll(c Classifier, X [][]float64) []int {
 	out := make([]int, len(X))
-	for i, x := range X {
-		out[i] = c.Predict(x)
+	parts := max(1, min(runtime.GOMAXPROCS(0), len(X)/minPredictRows))
+	var wg sync.WaitGroup
+	for p := range parts {
+		lo, hi := p*len(X)/parts, (p+1)*len(X)/parts
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := lo; i < hi; i++ {
+				out[i] = c.Predict(X[i])
+			}
+		}()
 	}
+	wg.Wait()
 	return out
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/stats"
 )
 
 // linearlySeparable builds a 2-feature dataset split by x0 + x1 > 0.
@@ -93,6 +94,56 @@ func TestEncoderNullsAndErrors(t *testing.T) {
 	}
 	if _, err := NewEncoder(d, []string{"x"}, "nope", "y"); err == nil {
 		t.Error("missing label should error")
+	}
+}
+
+// TestEncoderMeanMatchesStatsMean: the NULL-imputation mean is the bits of
+// stats.Mean over the column's non-NULL values in row order, at any chunk
+// size, and 0 where that mean is NaN (no value, a NaN, or both
+// infinities).
+func TestEncoderMeanMatchesStatsMean(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	columns := [][]float64{nil, {math.NaN(), 1}, {math.Inf(1), math.Inf(-1)}, {math.Inf(1), 2}}
+	for range 20 {
+		col := make([]float64, 1+rng.Intn(500))
+		for i := range col {
+			col[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(30)-15))
+		}
+		columns = append(columns, col)
+	}
+	for c, vals := range columns {
+		null := make([]bool, len(vals)+1) // the last row is always NULL
+		null[len(vals)] = true
+		var nonNull []float64
+		for i, v := range vals {
+			if null[i] = rng.Intn(4) == 0; !null[i] {
+				nonNull = append(nonNull, v)
+			}
+		}
+		want := stats.Mean(nonNull)
+		if math.IsNaN(want) {
+			want = 0
+		}
+		for _, chunk := range []int{1, 7, dataset.DefaultChunkSize} {
+			d := dataset.NewChunked(chunk)
+			if err := d.AddNumericColumn("x", append(vals, 0), null); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.AddCategoricalColumn("label", make([]string, len(null)), nil); err != nil {
+				t.Fatal(err)
+			}
+			e, err := NewEncoder(d, []string{"x"}, "label", "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			X, _, _, err := e.Encode(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := X[len(vals)][0]; math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("column %d chunk %d: imputed %v, want %v", c, chunk, got, want)
+			}
+		}
 	}
 }
 

@@ -4,7 +4,9 @@ import (
 	"cmp"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
+	"sync"
 )
 
 // DecisionTree is a CART binary classifier: axis-aligned threshold splits
@@ -50,7 +52,11 @@ func (t *DecisionTree) fillDefaults() {
 // Fit trains the tree on a feature matrix and binary labels.
 func (t *DecisionTree) Fit(X [][]float64, y []int) {
 	t.fillDefaults()
-	t.root = newGrower(X, y).grow(t, nil)
+	m := newPresorted(X, y)
+	m.sortFeatures(t.Features)
+	g := newGrower(m)
+	t.root = g.grow(t, nil)
+	g.release()
 }
 
 // gini returns the Gini impurity of n labels of which ones are class 1.
@@ -85,21 +91,93 @@ func keptThreshold(k, n, limit int) int {
 	return k * (n - 1) / (limit - 1)
 }
 
-// grower fits CART trees on one training matrix. Each feature's rows are
-// sorted once, on first use, so a forest sorts a feature once per fit
-// rather than at every node of every tree. A tree's node owns one range of
-// positions in every one of its per-feature lists; each list holds the
-// node's rows in ascending order of that feature, so a split search is one
-// sweep per feature and a split is a stable partition of each list.
-type grower struct {
+// presorted is a training matrix with some of its features sorted once, so
+// a forest sorts a feature once per fit rather than at every node of every
+// tree. A fit sorts the features a tree uses before growing it; growing
+// only reads a presorted matrix, so trees on other goroutines can share it.
+type presorted struct {
 	X [][]float64
 	y []int
 	// cols[j][r] is X[r][j], and sorted[j] holds rows 0..n-1 in ascending
 	// order of it, NaN first as sort.Float64s orders them. Both stay nil
-	// until a tree uses feature j.
+	// until sortFeatures is given feature j.
 	cols   [][]float64
 	sorted [][]int
-	// The buffers below are sized for one tree and reused by the next.
+}
+
+func newPresorted(X [][]float64, y []int) *presorted {
+	m := &presorted{X: X, y: y}
+	if len(X) > 0 {
+		m.sorted = make([][]int, len(X[0]))
+		m.cols = make([][]float64, len(X[0]))
+	}
+	return m
+}
+
+// allFeatures returns 0..d-1 for a matrix of d features.
+func (m *presorted) allFeatures() []int {
+	features := make([]int, len(m.sorted))
+	for j := range features {
+		features[j] = j
+	}
+	return features
+}
+
+// sortFeatures sorts each of features, or of all features when it is nil,
+// that is not sorted yet.
+func (m *presorted) sortFeatures(features []int) {
+	if len(m.X) == 0 {
+		return // grow reads no feature of an empty matrix
+	}
+	if features == nil {
+		features = m.allFeatures()
+	}
+	for _, j := range features {
+		if m.sorted[j] != nil {
+			continue
+		}
+		m.cols[j] = make([]float64, len(m.X))
+		for r, x := range m.X {
+			m.cols[j][r] = x[j]
+		}
+		m.sorted[j] = sortedRows(m.cols[j])
+	}
+}
+
+// sortedRows returns the rows of col in ascending order of value, NaN
+// first.
+func sortedRows(col []float64) []int {
+	rows := make([]int, len(col))
+	for r := range rows {
+		rows[r] = r
+	}
+	slices.SortFunc(rows, func(a, b int) int { return cmp.Compare(col[a], col[b]) })
+	return rows
+}
+
+// intBufs recycles the row-sized []int buffers of a fit (bootstrap counts,
+// a tree's per-feature lists, partition scratch) across fits: every oracle
+// call of a case study fits a model of the same shape again.
+var intBufs sync.Pool
+
+// getInts returns an []int of length n with arbitrary contents.
+func getInts(n int) []int {
+	if p, ok := intBufs.Get().(*[]int); ok && cap(*p) >= n {
+		return (*p)[:n]
+	}
+	return make([]int, n)
+}
+
+func putInts(s []int) { intBufs.Put(&s) }
+
+// grower grows CART trees on a presorted matrix, one tree at a time. A
+// tree's node owns one range of positions in every one of its per-feature
+// lists; each list holds the node's rows in ascending order of that
+// feature, so a split search is one sweep per feature and a split is a
+// stable partition of each list. The buffers are sized for one tree and
+// reused by the next; each goroutine growing trees has its own grower.
+type grower struct {
+	*presorted
 	t        *DecisionTree
 	features []int
 	// lists[f] holds the tree's rows, once per bootstrap draw, in
@@ -110,27 +188,29 @@ type grower struct {
 	mids    []float64
 }
 
-func newGrower(X [][]float64, y []int) *grower {
-	g := &grower{X: X, y: y, goLeft: make([]int, len(X)), scratch: make([]int, len(X))}
-	if len(X) > 0 {
-		g.sorted = make([][]int, len(X[0]))
-		g.cols = make([][]float64, len(X[0]))
-	}
-	return g
+func newGrower(m *presorted) *grower {
+	return &grower{presorted: m, goLeft: getInts(len(m.X)), scratch: getInts(len(m.X))}
 }
 
-// grow fits t, whose defaults are filled, on the rows of g.X drawn counts[r]
-// times each (every row once when counts is nil) and returns its root.
+// release hands the grower's row buffers back for the next fit.
+func (g *grower) release() {
+	putInts(g.goLeft)
+	putInts(g.scratch)
+	for _, list := range g.lists {
+		putInts(list)
+	}
+}
+
+// grow fits t, whose defaults are filled and whose features are sorted, on
+// the rows of g.X drawn counts[r] times each (every row once when counts is
+// nil) and returns its root.
 func (g *grower) grow(t *DecisionTree, counts []int) *treeNode {
 	g.t, g.features = t, t.Features
 	if g.features == nil {
-		g.features = make([]int, len(g.sorted))
-		for j := range g.features {
-			g.features[j] = j
-		}
+		g.features = g.allFeatures()
 	}
 	for len(g.lists) < len(g.features) {
-		g.lists = append(g.lists, make([]int, 0, len(g.X)))
+		g.lists = append(g.lists, getInts(len(g.X))[:0])
 	}
 	n, ones := 0, 0
 	for r := range g.X {
@@ -145,13 +225,6 @@ func (g *grower) grow(t *DecisionTree, counts []int) *treeNode {
 		return g.build(0, 0, 0, 0) // a leaf, before any feature is read
 	}
 	for f, j := range g.features {
-		if g.sorted[j] == nil {
-			g.cols[j] = make([]float64, len(g.X))
-			for r, x := range g.X {
-				g.cols[j][r] = x[j]
-			}
-			g.sorted[j] = sortedRows(g.cols[j])
-		}
 		list := g.lists[f][:0]
 		for _, r := range g.sorted[j] {
 			c := 1
@@ -165,17 +238,6 @@ func (g *grower) grow(t *DecisionTree, counts []int) *treeNode {
 		g.lists[f] = list
 	}
 	return g.build(0, n, ones, 0)
-}
-
-// sortedRows returns the rows of col in ascending order of value, NaN
-// first.
-func sortedRows(col []float64) []int {
-	rows := make([]int, len(col))
-	for r := range rows {
-		rows[r] = r
-	}
-	slices.SortFunc(rows, func(a, b int) int { return cmp.Compare(col[a], col[b]) })
-	return rows
 }
 
 // build grows the subtree over list positions [lo, hi), which hold ones
@@ -306,7 +368,8 @@ func (t *DecisionTree) Predict(x []float64) int {
 // RandomForest is a bagged ensemble of decision trees with per-tree feature
 // subsampling — the Income Prediction case study's classifier.
 type RandomForest struct {
-	// Trees is the ensemble size (default 20).
+	// Trees is the ensemble size (default 20, also taken by a negative
+	// size).
 	Trees int
 	// MaxDepth is per-tree depth (default 6).
 	MaxDepth int
@@ -318,9 +381,13 @@ type RandomForest struct {
 	ensemble []*DecisionTree
 }
 
-// Fit trains the forest on a feature matrix and binary labels.
+// Fit trains the forest on a feature matrix and binary labels. The trees
+// grow on up to GOMAXPROCS goroutines that live for this call; the forest
+// is the same at any GOMAXPROCS, since only the calling goroutine draws
+// random numbers, in tree order, and tree b lands at ensemble position b
+// whichever goroutine grew it.
 func (f *RandomForest) Fit(X [][]float64, y []int) {
-	if f.Trees == 0 {
+	if f.Trees <= 0 {
 		f.Trees = 20
 	}
 	if f.MaxDepth == 0 {
@@ -328,6 +395,11 @@ func (f *RandomForest) Fit(X [][]float64, y []int) {
 	}
 	if len(X) == 0 {
 		return
+	}
+	if len(y) < len(X) {
+		// Checked here: a tree goroutine's index panic would kill the
+		// process rather than reach the caller.
+		panic("ml: RandomForest.Fit given fewer labels than rows")
 	}
 	rng := rand.New(rand.NewSource(f.Seed + 1))
 	n, d := len(X), len(X[0])
@@ -341,20 +413,51 @@ func (f *RandomForest) Fit(X [][]float64, y []int) {
 	if mtry > d {
 		mtry = d
 	}
+	m := newPresorted(X, y)
+	f.ensemble = make([]*DecisionTree, f.Trees)
+	type job struct {
+		tree   *DecisionTree
+		counts []int
+	}
+	jobs := make(chan job)
+	workers := min(runtime.GOMAXPROCS(0), f.Trees)
 	// Each tree trains on a bootstrap sample, kept as a draw count per row
-	// so that the grower's presorted rows serve every tree.
-	g := newGrower(X, y)
-	counts := make([]int, n)
-	f.ensemble = nil
-	for b := 0; b < f.Trees; b++ {
+	// so that the presorted rows serve every tree. A worker hands its
+	// counts back when its tree is grown, so at most workers+1 are in
+	// flight: one per tree growing and one being drawn.
+	spare := make(chan []int, workers+1)
+	for range workers + 1 {
+		spare <- getInts(n)
+	}
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			g := newGrower(m)
+			for j := range jobs {
+				j.tree.root = g.grow(j.tree, j.counts)
+				spare <- j.counts
+			}
+			g.release()
+		}()
+	}
+	for b := range f.Trees {
+		counts := <-spare
 		clear(counts)
 		for range n {
 			counts[rng.Intn(n)]++
 		}
 		tree := &DecisionTree{MaxDepth: f.MaxDepth, Features: rng.Perm(d)[:mtry]}
 		tree.fillDefaults()
-		tree.root = g.grow(tree, counts)
-		f.ensemble = append(f.ensemble, tree)
+		m.sortFeatures(tree.Features)
+		f.ensemble[b] = tree
+		jobs <- job{tree, counts}
+	}
+	close(jobs)
+	wg.Wait()
+	for range workers + 1 {
+		putInts(<-spare)
 	}
 }
 

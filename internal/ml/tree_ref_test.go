@@ -3,7 +3,9 @@ package ml
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
+	"sync"
 	"testing"
 )
 
@@ -143,7 +145,7 @@ func (t *refTree) candidateThresholds(X [][]float64, idx []int, j int) []float64
 // refForest replays RandomForest.Fit's bootstrap loop, growing each tree
 // with refTree on a materialised bootstrap matrix.
 func refForest(f RandomForest, X [][]float64, y []int) []*treeNode {
-	if f.Trees == 0 {
+	if f.Trees <= 0 {
 		f.Trees = 20
 	}
 	if f.MaxDepth == 0 {
@@ -292,6 +294,97 @@ func TestRandomForestMatchesReference(t *testing.T) {
 		for i, tree := range f.ensemble {
 			if msg, ok := sameTree(tree.root, want[i], "root"); !ok {
 				t.Fatalf("case %d tree %d (n=%d d=%d): %s", c, i, n, d, msg)
+			}
+		}
+	}
+}
+
+// TestRandomForestSameAcrossProcs fits seeded forests with one and with
+// four goroutines available and requires both to grow the reference
+// forest, node for node, in ensemble order.
+func TestRandomForestSameAcrossProcs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	rng := rand.New(rand.NewSource(13))
+	for c := 0; c < 40; c++ {
+		n, d := 1+rng.Intn(300), 1+rng.Intn(10)
+		X, y := randomMatrix(rng, n, d)
+		if c == 0 {
+			n, d = 2000, 10
+			X, y = incomeShaped(n, 5)
+		}
+		spec := RandomForest{Trees: 1 + rng.Intn(12), MaxDepth: 1 + rng.Intn(8), MTry: rng.Intn(d + 1), Seed: rng.Int63n(100)}
+		want := refForest(spec, X, y)
+		for _, procs := range []int{1, 4} {
+			runtime.GOMAXPROCS(procs)
+			f := spec
+			f.Fit(X, y)
+			if len(f.ensemble) != len(want) {
+				t.Fatalf("case %d GOMAXPROCS=%d: %d trees, reference grew %d", c, procs, len(f.ensemble), len(want))
+			}
+			for i, tree := range f.ensemble {
+				if msg, ok := sameTree(tree.root, want[i], "root"); !ok {
+					t.Fatalf("case %d GOMAXPROCS=%d tree %d (n=%d d=%d): %s", c, procs, i, n, d, msg)
+				}
+			}
+		}
+	}
+}
+
+// TestRandomForestConcurrentFits fits and scores forests on several
+// goroutines at once, as concurrent oracle calls do, so that the race
+// detector sees their tree goroutines share the buffer pool and each
+// forest's presorted matrix; every forest must still be the reference's
+// and PredictAll must agree with Predict row by row.
+func TestRandomForestConcurrentFits(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	X, y := incomeShaped(1200, 9)
+	spec := RandomForest{Trees: 6, MaxDepth: 6, MTry: 4, Seed: 2}
+	want := refForest(spec, X, y)
+	var wg sync.WaitGroup
+	for range 3 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f := spec
+			f.Fit(X, y)
+			for i, tree := range f.ensemble {
+				if msg, ok := sameTree(tree.root, want[i], "root"); !ok {
+					t.Errorf("tree %d: %s", i, msg)
+					return
+				}
+			}
+			for i, p := range PredictAll(&f, X) {
+				if p != f.Predict(X[i]) {
+					t.Errorf("PredictAll row %d = %d, Predict says %d", i, p, f.Predict(X[i]))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestRandomForestTreesDefault: a tree count of zero or below takes the
+// default 20 (a negative count used to fit an empty forest that voted
+// class 1 for every row).
+func TestRandomForestTreesDefault(t *testing.T) {
+	X, y := xorData(200, 8)
+	for _, tc := range []struct{ trees, want int }{
+		{trees: -20, want: 20},
+		{trees: -1, want: 20},
+		{trees: 0, want: 20},
+		{trees: 1, want: 1},
+		{trees: 3, want: 3},
+	} {
+		f := &RandomForest{Trees: tc.trees, MaxDepth: 4, Seed: 3}
+		f.Fit(X, y)
+		if len(f.ensemble) != tc.want || f.Trees != tc.want {
+			t.Fatalf("Trees=%d: fitted %d trees (Trees now %d), want %d", tc.trees, len(f.ensemble), f.Trees, tc.want)
+		}
+		want := refForest(RandomForest{Trees: tc.want, MaxDepth: 4, Seed: 3}, X, y)
+		for i, tree := range f.ensemble {
+			if msg, ok := sameTree(tree.root, want[i], "root"); !ok {
+				t.Fatalf("Trees=%d tree %d: %s", tc.trees, i, msg)
 			}
 		}
 	}

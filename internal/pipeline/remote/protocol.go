@@ -92,21 +92,43 @@ var errProtocol = errors.New("remote: protocol error")
 // returned before any connection is dialed or written.
 var ErrRequestTooLarge = errors.New("remote: request too large for the wire")
 
-// readFrame receives one length-prefixed payload.
+// firstReadSize is how much of a payload readFrame makes room for before
+// any of it arrives.
+const firstReadSize = 64 << 10
+
+// readFrame receives one length-prefixed payload. The buffer starts at
+// firstReadSize and at most doubles as the body arrives, so a length prefix
+// costs memory only in proportion to the bytes that follow it. A body cut
+// short fails as io.ReadFull fails: io.EOF when none of it arrived, else
+// io.ErrUnexpectedEOF.
 func readFrame(r io.Reader) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxFrameSize {
-		return nil, fmt.Errorf("%w: frame of %d bytes exceeds limit", errProtocol, n)
+	size := binary.BigEndian.Uint32(hdr[:])
+	if size > maxFrameSize {
+		return nil, fmt.Errorf("%w: frame of %d bytes exceeds limit", errProtocol, size)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, err
+	n := int(size)
+	payload := make([]byte, min(n, firstReadSize))
+	got := 0
+	for {
+		m, err := io.ReadFull(r, payload[got:])
+		got += m
+		if errors.Is(err, io.EOF) && got > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return nil, err
+		}
+		if got == n {
+			return payload, nil
+		}
+		grown := make([]byte, got+min(n-got, got))
+		copy(grown, payload)
+		payload = grown
 	}
-	return payload, nil
 }
 
 // colPlan is one column's encoding plan from the sizing pass.

@@ -6,12 +6,14 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"repro/internal/dataset"
@@ -408,6 +410,83 @@ func FuzzDecodeResponse(f *testing.F) {
 		back, err := decodeResponse(again)
 		if err != nil || back.Transient != res.Transient || back.Attempts != res.Attempts {
 			t.Fatalf("failure class lost on re-encode: %+v -> %+v, %v", res, back, err)
+		}
+	})
+}
+
+// frameHeader returns the 4-byte length prefix claiming n payload bytes.
+func frameHeader(n uint32) []byte {
+	return binary.BigEndian.AppendUint32(nil, n)
+}
+
+// TestReadFrameAllocatesWithBody: a header claiming 60 MiB followed by
+// three bytes and EOF fails as a short frame without allocating the
+// claimed size.
+func TestReadFrameAllocatesWithBody(t *testing.T) {
+	input := append(frameHeader(60<<20), 1, 2, 3)
+	allocated := allocatedBy(func() {
+		if _, err := readFrame(bytes.NewReader(input)); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("err = %v, want io.ErrUnexpectedEOF", err)
+		}
+	})
+	if allocated > 1<<20 {
+		t.Fatalf("reading a %d-byte input allocated %d bytes", len(input), allocated)
+	}
+}
+
+// TestReadFrameErrorsAndSizes pins readFrame's result for frames around the
+// buffer's growth steps, delivered one byte per Read, whole and cut short.
+func TestReadFrameErrorsAndSizes(t *testing.T) {
+	for _, n := range []int{0, 1, firstReadSize - 1, firstReadSize, firstReadSize + 1, 3*firstReadSize + 5} {
+		body := make([]byte, n)
+		for i := range body {
+			body[i] = byte(i * 7)
+		}
+		frame := append(frameHeader(uint32(n)), body...)
+		got, err := readFrame(iotest.OneByteReader(bytes.NewReader(frame)))
+		if err != nil || !bytes.Equal(got, body) {
+			t.Fatalf("n=%d: got %d bytes, %v; want the body back", n, len(got), err)
+		}
+		for _, cut := range []int{0, 2, 4, 5, len(frame) - 1} {
+			if cut >= len(frame) || (n == 0 && cut == 4) {
+				continue
+			}
+			want := io.ErrUnexpectedEOF
+			if cut == 0 || cut == 4 {
+				want = io.EOF // nothing of the header, or of the body, arrived
+			}
+			if _, err := readFrame(bytes.NewReader(frame[:cut])); !errors.Is(err, want) {
+				t.Fatalf("n=%d cut at %d: err = %v, want %v", n, cut, err, want)
+			}
+		}
+	}
+	if _, err := readFrame(bytes.NewReader(frameHeader(maxFrameSize + 1))); !errors.Is(err, errProtocol) {
+		t.Fatalf("oversize header: err = %v, want a protocol error", err)
+	}
+}
+
+// FuzzReadFrame feeds raw socket bytes to readFrame: it never panics, a nil
+// error returns exactly the payload the header claims, and any other
+// result is a short read or a protocol error.
+func FuzzReadFrame(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 0})
+	f.Add(frameHeader(0))
+	f.Add(append(frameHeader(3), 'a', 'b', 'c'))
+	f.Add(append(frameHeader(60<<20), 1, 2, 3))
+	f.Add(frameHeader(maxFrameSize + 1))
+	for _, p := range fuzzSeedRequests() {
+		f.Add(append(frameHeader(uint32(len(p))), p...))
+	}
+	f.Fuzz(func(t *testing.T, input []byte) {
+		payload, err := readFrame(bytes.NewReader(input))
+		switch {
+		case err == nil:
+			if claimed := binary.BigEndian.Uint32(input); int(claimed) != len(payload) || !bytes.Equal(payload, input[4:4+claimed]) {
+				t.Fatalf("header claims %d bytes, got %d", claimed, len(payload))
+			}
+		case !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, errProtocol):
+			t.Fatalf("unexpected error class: %v", err)
 		}
 	})
 }
