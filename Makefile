@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint lint-sarif vet bench bench-ml
+.PHONY: build test race lint lint-sarif vet bench bench-ml bench-core
 
 build:
 	$(GO) build ./...
@@ -34,3 +34,8 @@ bench:
 # two cores so that the parallel forest fit's scaling shows.
 bench-ml:
 	$(GO) test -run='^$$' -bench=. -benchmem -count=5 -cpu 1,2 ./internal/ml/
+
+# The group-intervention micro-benchmark: 16 Selectivity PVTs composed over a
+# 200k-row EZGo batch, with allocations, five runs for comparing two commits.
+bench-core:
+	$(GO) test -run='^$$' -bench=GroupIntervention -benchmem -count=5 ./internal/core/

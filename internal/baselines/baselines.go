@@ -90,35 +90,16 @@ func finish(res *core.Result, ev *engine.Eval, start time.Time) {
 	res.Runtime = time.Since(start)
 }
 
-// inPlaceTransformation mirrors core's optional fast path for
-// transformations that can mutate a caller-owned dataset.
-type inPlaceTransformation interface {
-	ApplyInPlace(d *dataset.Dataset) error
-}
-
-// applyConfig composes the transformations of the enabled PVTs onto a clone
-// of fail, using the in-place fast path where available.
+// applyConfig composes the transformations of the enabled PVTs onto fail
+// (core.Compose); fail itself is never mutated.
 func applyConfig(fail *dataset.Dataset, pvts []*core.PVT, on []bool, rng *rand.Rand) *dataset.Dataset {
-	cur := fail.Clone()
+	var enabled []*core.PVT
 	for i, p := range pvts {
-		if !on[i] {
-			continue
-		}
-		for _, t := range p.Transforms {
-			if ip, ok := t.(inPlaceTransformation); ok {
-				if ip.ApplyInPlace(cur) == nil {
-					break
-				}
-				continue
-			}
-			out, err := t.Apply(cur, rng)
-			if err == nil {
-				cur = out
-				break
-			}
+		if on[i] {
+			enabled = append(enabled, p)
 		}
 	}
-	return cur
+	return core.Compose(fail, enabled, rng)
 }
 
 // BugDoc explores on/off configurations of the candidate PVTs: a sampling

@@ -11,7 +11,6 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 	"strings"
@@ -127,54 +126,84 @@ type inPlaceTransformation interface {
 	ApplyInPlace(d *dataset.Dataset) error
 }
 
-// applyPVT applies a PVT's best applicable transformation to d (trying the
-// candidates in the given order), returning the transformed dataset and the
-// transformation used. It fails only if every candidate errors.
-func applyPVT(d *dataset.Dataset, ts []transform.Transformation, rng *rand.Rand) (*dataset.Dataset, transform.Transformation, error) {
-	var firstErr error
-	for _, t := range ts {
-		out, err := t.Apply(d, rng)
-		if err == nil {
-			return out, t, nil
-		}
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-	return nil, nil, fmt.Errorf("core: no applicable transformation: %w", firstErr)
+// rowSelectingTransformation is an optional fast path: transformations
+// that only select rows (transform.Resample) can return their result as
+// row indices, so a composition keeps consecutive selections pending and
+// builds the selected dataset once instead of once per transformation.
+type rowSelectingTransformation interface {
+	transform.Transformation
+	Select(d *dataset.Dataset, rows []int, rng *rand.Rand) ([]int, error)
 }
 
-// applyPVTOwned is applyPVT for a dataset the caller owns: in-place-capable
-// transformations mutate it directly and return it, others go through the
-// cloning Apply. The returned dataset replaces the caller's ownership.
-func applyPVTOwned(owned *dataset.Dataset, ts []transform.Transformation, rng *rand.Rand) (*dataset.Dataset, transform.Transformation, error) {
-	var firstErr error
+// composition builds the ◦ composition of Definition 9 on a dataset it
+// owns. Row selections stay pending as indices into cur until a
+// transformation needs the dataset itself, or the result is taken.
+type composition struct {
+	cur  *dataset.Dataset
+	rows []int // pending selection of cur's rows; nil = none
+	rng  *rand.Rand
+}
+
+// newComposition starts a composition over d. d itself is never mutated: the
+// composition works on a single clone.
+func newComposition(d *dataset.Dataset, rng *rand.Rand) *composition {
+	return &composition{cur: d.Clone(), rng: rng}
+}
+
+// apply applies the first of ts that succeeds on the current dataset,
+// trying them in order: row-selecting transformations extend the pending
+// selection, in-place-capable ones mutate the owned dataset, and the rest go
+// through the cloning Apply. When every candidate fails the composition is
+// left as it was, so the PVT is skipped.
+func (c *composition) apply(ts []transform.Transformation) {
 	for _, t := range ts {
-		if ip, ok := t.(inPlaceTransformation); ok {
-			if err := ip.ApplyInPlace(owned); err == nil {
-				return owned, t, nil
-			} else if firstErr == nil {
-				firstErr = err
+		if rs, ok := t.(rowSelectingTransformation); ok {
+			if rows, err := rs.Select(c.cur, c.rows, c.rng); err == nil {
+				c.rows = rows
+				return
 			}
 			continue
 		}
-		out, err := t.Apply(owned, rng)
-		if err == nil {
-			return out, t, nil
+		c.flush()
+		if ip, ok := t.(inPlaceTransformation); ok {
+			if ip.ApplyInPlace(c.cur) == nil {
+				return
+			}
+			continue
 		}
-		if firstErr == nil {
-			firstErr = err
+		if out, err := t.Apply(c.cur, c.rng); err == nil {
+			c.cur = out
+			return
 		}
 	}
-	return owned, nil, fmt.Errorf("core: no applicable transformation: %w", firstErr)
+}
+
+// flush materializes the pending selection.
+func (c *composition) flush() {
+	if c.rows != nil {
+		c.cur = c.cur.SelectRows(c.rows)
+		c.rows = nil
+	}
+}
+
+// result returns the composed dataset.
+func (c *composition) result() *dataset.Dataset {
+	c.flush()
+	return c.cur
+}
+
+// Compose applies the first applicable transformation of each PVT to d in
+// slice order, skipping PVTs none of whose transformations apply. d itself
+// is never mutated.
+func Compose(d *dataset.Dataset, pvts []*PVT, rng *rand.Rand) *dataset.Dataset {
+	return composeAll(d, pvts, nil, rng)
 }
 
 // composeAll applies one transformation per PVT in slice order (the ◦
 // composition of Definition 9), skipping PVTs whose transformations all
-// fail on the current dataset. d itself is never mutated: the composition
-// works on a single clone, using the in-place fast path where available.
+// fail on the current dataset. d itself is never mutated.
 func composeAll(d *dataset.Dataset, pvts []*PVT, chosen map[*PVT]transform.Transformation, rng *rand.Rand) *dataset.Dataset {
-	cur := d.Clone()
+	c := newComposition(d, rng)
 	for _, p := range pvts {
 		ts := p.Transforms
 		if chosen != nil {
@@ -182,13 +211,9 @@ func composeAll(d *dataset.Dataset, pvts []*PVT, chosen map[*PVT]transform.Trans
 				ts = []transform.Transformation{t}
 			}
 		}
-		next, _, err := applyPVTOwned(cur, ts, rng)
-		if err != nil {
-			continue
-		}
-		cur = next
+		c.apply(ts)
 	}
-	return cur
+	return c.result()
 }
 
 // pvtSetString renders an explanation set for reports.

@@ -317,35 +317,85 @@ func (d *Dataset) Clone() *Dataset {
 
 // SelectRows returns a new dataset containing the rows at the given indices,
 // in order. Indices may repeat (used by over-sampling transformations).
+//
+// Each output chunk is built directly in the canonical layout. An output
+// chunk whose rows are exactly source chunk k at the same position (an
+// aligned identity run, such as the kept prefix of an over-sample) reuses
+// that chunk, marked shared as Clone marks it, so its cached digest,
+// statistics and sample survive and Fingerprint re-hashes only the new
+// chunks. Every other output chunk is filled by copying runs of consecutive
+// source rows.
 func (d *Dataset) SelectRows(idx []int) *Dataset {
 	out := NewChunked(d.csize)
-	for _, c := range d.cols {
-		null := make([]bool, len(idx))
-		var nc *Column
-		if c.Kind == Numeric {
-			nums := make([]float64, len(idx))
-			for j, i := range idx {
-				ci, off := c.chunkOf(i)
-				ch := c.chunks[ci]
-				nums[j] = ch.nums[off]
-				null[j] = ch.null[off]
+	if len(d.cols) == 0 {
+		return out
+	}
+	// Every column shares one geometry (rows, chunk size), so the first
+	// column's chunks plan the output chunks of all.
+	geo := d.cols[0]
+	n, cs := len(idx), geo.csize
+	nch := (n + cs - 1) / cs
+	cols := make([]*Column, len(d.cols))
+	for i, c := range d.cols {
+		cols[i] = &Column{Name: c.Name, Kind: c.Kind, rows: n, csize: cs, shift: c.shift, mask: c.mask,
+			chunks: make([]*chunk, nch)}
+	}
+	type run struct{ dst, src, off, n int } // n rows from source chunk src at off
+	var runs []run
+	for k := 0; k < nch; k++ {
+		s, e := k*cs, min((k+1)*cs, n)
+		if k < len(geo.chunks) && geo.chunks[k].len() == e-s && identityRun(idx[s:e], s) {
+			for i, c := range d.cols {
+				c.chunks[k].shared.Store(true)
+				cols[i].chunks[k] = c.chunks[k]
 			}
-			nc = newColumn(c.Name, c.Kind, nums, nil, null, d.csize)
-		} else {
-			strs := make([]string, len(idx))
-			for j, i := range idx {
-				ci, off := c.chunkOf(i)
-				ch := c.chunks[ci]
-				strs[j] = ch.strs[off]
-				null[j] = ch.null[off]
-			}
-			nc = newColumn(c.Name, c.Kind, nil, strs, null, d.csize)
+			continue
 		}
+		runs = runs[:0]
+		for j := s; j < e; {
+			ci, off := geo.chunkOf(idx[j])
+			l, limit := 1, min(geo.chunks[ci].len()-off, e-j)
+			for l < limit && idx[j+l] == idx[j]+l {
+				l++
+			}
+			runs = append(runs, run{dst: j - s, src: ci, off: off, n: l})
+			j += l
+		}
+		for i, c := range d.cols {
+			ch := &chunk{start: s, null: make([]bool, e-s)}
+			if c.Kind == Numeric {
+				ch.nums = make([]float64, e-s)
+			} else {
+				ch.strs = make([]string, e-s)
+			}
+			for _, r := range runs {
+				sch := c.chunks[r.src]
+				copy(ch.null[r.dst:], sch.null[r.off:r.off+r.n])
+				if c.Kind == Numeric {
+					copy(ch.nums[r.dst:], sch.nums[r.off:r.off+r.n])
+				} else {
+					copy(ch.strs[r.dst:], sch.strs[r.off:r.off+r.n])
+				}
+			}
+			cols[i].chunks[k] = ch
+		}
+	}
+	for _, nc := range cols {
 		if err := out.addColumn(nc); err != nil {
 			panic(err) // cannot happen: schema mirrors a valid dataset
 		}
 	}
 	return out
+}
+
+// identityRun reports whether idx is the consecutive run start, start+1, …
+func identityRun(idx []int, start int) bool {
+	for j, r := range idx {
+		if r != start+j {
+			return false
+		}
+	}
+	return true
 }
 
 // Filter returns a new dataset containing the rows for which keep returns true.

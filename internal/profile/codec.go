@@ -393,6 +393,9 @@ func decodeDistribution(data []byte) (Profile, error) {
 	if err := json.Unmarshal(data, &w); err != nil {
 		return nil, err
 	}
+	if len(w.Quantiles) == 0 {
+		return nil, fmt.Errorf("distribution: empty quantile grid")
+	}
 	return &Distribution{Attr: w.Attr, Quantiles: w.Quantiles, Delta: w.Delta, Fit: w.Fit}, nil
 }
 

@@ -401,11 +401,10 @@ func (p *IndepChi) Key() string { return "indep-chi:" + p.AttrA + ":" + p.AttrB 
 // it is significant at p ≤ 0.05. A sample-fitted profile computes it on the
 // matching deterministic sample view of d (exact when d is small).
 func (p *IndepChi) Statistic(d *dataset.Dataset) (chi2 float64, significant bool) {
-	a := pairedStrings(p.Fit.evalView(d), p.AttrA, p.AttrB)
-	if a[0] == nil {
+	table := contingency(p.Fit.evalView(d), p.AttrA, p.AttrB)
+	if table == nil {
 		return 0, false
 	}
-	table, _, _ := stats.ContingencyTable(a[0], a[1])
 	chi2, df := stats.ChiSquared(table)
 	return chi2, stats.ChiSquaredPValue(chi2, df) <= 0.05
 }
@@ -431,26 +430,28 @@ func (p *IndepChi) String() string {
 	return fmt.Sprintf("⟨Indep, %s, %s, χ²=%.3f⟩", p.AttrA, p.AttrB, p.Alpha)
 }
 
-// pairedStrings extracts the rows where both string attributes are non-NULL.
-func pairedStrings(d *dataset.Dataset, a, b string) [2][]string {
+// contingency tabulates two string attributes over the rows where both are
+// non-NULL, reading the chunk views in place. It returns nil when an
+// attribute is missing or numeric, or no row pairs.
+func contingency(d *dataset.Dataset, a, b string) [][]float64 {
 	ca, cb := d.Column(a), d.Column(b)
 	if ca == nil || cb == nil || ca.Kind == dataset.Numeric || cb.Kind == dataset.Numeric {
-		return [2][]string{}
+		return nil
 	}
-	var xs, ys []string
+	var c stats.Contingency
 	for k := 0; k < ca.NumChunks(); k++ {
 		va, vb := ca.Chunk(k), cb.Chunk(k)
 		for i := range va.Null {
 			if !va.Null[i] && !vb.Null[i] {
-				xs = append(xs, va.Strs[i])
-				ys = append(ys, vb.Strs[i])
+				c.Add(va.Strs[i], vb.Strs[i])
 			}
 		}
 	}
-	if xs == nil {
-		return [2][]string{}
+	table, _, _ := c.Table()
+	if len(table) == 0 {
+		return nil
 	}
-	return [2][]string{xs, ys}
+	return table
 }
 
 // ---------------------------------------------------------------------------

@@ -229,50 +229,75 @@ func ChiSquared(table [][]float64) (chi2 float64, df int) {
 	return chi2, (activeRows - 1) * (activeCols - 1)
 }
 
-// ContingencyTable tabulates joint counts of two categorical slices.
-// The returned level orders are sorted for determinism.
+// ContingencyTable tabulates joint counts of the pairs (a[i], b[i]) for i
+// below the shorter length. The returned level orders are sorted for
+// determinism.
 func ContingencyTable(a, b []string) (table [][]float64, aLevels, bLevels []string) {
-	ai := levelIndex(a)
-	bi := levelIndex(b)
-	aLevels = sortedKeys(ai)
-	bLevels = sortedKeys(bi)
-	for i, l := range aLevels {
-		ai[l] = i
+	var c Contingency
+	for i := 0; i < len(a) && i < len(b); i++ {
+		c.Add(a[i], b[i])
 	}
-	for i, l := range bLevels {
-		bi[l] = i
+	return c.Table()
+}
+
+// Contingency counts (a, b) pairs one at a time, so a caller can tabulate
+// values it reads in place. The zero value is an empty table.
+type Contingency struct {
+	ai, bi map[string]int // level → first-appearance code
+	counts [][]float64    // [a code][b code], grown as levels appear
+}
+
+// Add counts one (a, b) pair.
+func (c *Contingency) Add(a, b string) {
+	if c.ai == nil {
+		c.ai, c.bi = map[string]int{}, map[string]int{}
 	}
+	x, ok := c.ai[a]
+	if !ok {
+		x = len(c.ai)
+		c.ai[a] = x
+		c.counts = append(c.counts, nil)
+	}
+	y, ok := c.bi[b]
+	if !ok {
+		y = len(c.bi)
+		c.bi[b] = y
+	}
+	if row := c.counts[x]; y >= len(row) {
+		c.counts[x] = append(row, make([]float64, len(c.bi)-len(row))...)
+	}
+	c.counts[x][y]++
+}
+
+// Table returns the joint counts with both level orders sorted.
+func (c *Contingency) Table() (table [][]float64, aLevels, bLevels []string) {
+	aLevels, ar := sortedLevels(c.ai)
+	bLevels, br := sortedLevels(c.bi)
 	table = make([][]float64, len(aLevels))
 	for i := range table {
 		table[i] = make([]float64, len(bLevels))
 	}
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		table[ai[a[i]]][bi[b[i]]]++
+	for x, row := range c.counts {
+		for y, n := range row {
+			table[ar[x]][br[y]] = n
+		}
 	}
 	return table, aLevels, bLevels
 }
 
-func levelIndex(xs []string) map[string]int {
-	m := make(map[string]int)
-	for _, x := range xs {
-		if _, ok := m[x]; !ok {
-			m[x] = len(m)
-		}
+// sortedLevels returns the levels in sorted order, and the rank of each
+// first-appearance code in that order.
+func sortedLevels(codes map[string]int) (levels []string, ranks []int) {
+	levels = make([]string, 0, len(codes))
+	for l := range codes {
+		levels = append(levels, l)
 	}
-	return m
-}
-
-func sortedKeys(m map[string]int) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
+	sort.Strings(levels)
+	ranks = make([]int, len(levels))
+	for r, l := range levels {
+		ranks[codes[l]] = r
 	}
-	sort.Strings(out)
-	return out
+	return levels, ranks
 }
 
 // ChiSquaredPValue returns P(X² ≥ chi2) for a chi-squared distribution with

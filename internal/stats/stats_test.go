@@ -1,8 +1,11 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -139,6 +142,56 @@ func TestContingencyTable(t *testing.T) {
 	}
 	if table[0][0] != 2 || table[0][1] != 1 || table[1][0] != 1 || table[1][1] != 1 {
 		t.Errorf("table = %v", table)
+	}
+}
+
+// refContingencyTable is ContingencyTable as it was before Contingency
+// counted pairs one at a time: index the levels, sort them, then count.
+func refContingencyTable(a, b []string) (table [][]float64, aLevels, bLevels []string) {
+	index := func(xs []string) (map[string]int, []string) {
+		m := map[string]int{}
+		for _, x := range xs {
+			m[x] = 0
+		}
+		levels := make([]string, 0, len(m))
+		for l := range m {
+			levels = append(levels, l)
+		}
+		sort.Strings(levels)
+		for i, l := range levels {
+			m[l] = i
+		}
+		return m, levels
+	}
+	ai, aLevels := index(a)
+	bi, bLevels := index(b)
+	table = make([][]float64, len(aLevels))
+	for i := range table {
+		table[i] = make([]float64, len(bLevels))
+	}
+	for i := range a {
+		table[ai[a[i]]][bi[b[i]]]++
+	}
+	return table, aLevels, bLevels
+}
+
+// TestContingencyMatchesReference: pairs counted one at a time give the
+// levels and table of the index-then-count reference.
+func TestContingencyMatchesReference(t *testing.T) {
+	for seed := int64(0); seed < 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := rng.Intn(300)
+		la, lb := 1+rng.Intn(7), 1+rng.Intn(12)
+		a, b := make([]string, n), make([]string, n)
+		for i := range a {
+			a[i] = fmt.Sprintf("a%d", rng.Intn(la))
+			b[i] = fmt.Sprintf("b%d", rng.Intn(lb))
+		}
+		table, al, bl := ContingencyTable(a, b)
+		wantTable, wantA, wantB := refContingencyTable(a, b)
+		if !reflect.DeepEqual(al, wantA) || !reflect.DeepEqual(bl, wantB) || !reflect.DeepEqual(table, wantTable) {
+			t.Fatalf("seed %d: got %v %v %v, reference %v %v %v", seed, al, bl, table, wantA, wantB, wantTable)
+		}
 	}
 }
 

@@ -205,6 +205,17 @@ func TestResampleEdgeCases(t *testing.T) {
 	if err != nil || out2.NumRows() != 2 {
 		t.Error("θ=1 with all-matching rows should keep everything")
 	}
+	// Every row matches and 0 < θ < 1: no non-matching row can carry the
+	// selectivity down to θ, so the resample must fail rather than return
+	// an empty dataset (selectivity 0, not θ) — and draw nothing.
+	cantLower := &profile.Selectivity{Pred: dataset.And(dataset.EqStr("g", "M")), Theta: 0.3}
+	r := rng()
+	if out, err := (&Resample{Profile: cantLower}).Apply(d, r); err == nil {
+		t.Errorf("lowering selectivity with no non-matching rows should error, got %d rows", out.NumRows())
+	}
+	if r.Int63() != rng().Int63() {
+		t.Error("a failed resample consumed randomness")
+	}
 }
 
 func TestConditionalTransform(t *testing.T) {

@@ -29,17 +29,55 @@ func (t *Resample) Modifies() []string { return t.Profile.Pred.Attributes() }
 
 // Apply implements Transformation. The transformed dataset has a different
 // row count: matching rows are dropped (uniformly at random) or duplicated
-// (round-robin) until their share equals θ.
+// (round-robin) until their share equals θ. It materializes Select's
+// selection.
 func (t *Resample) Apply(d *dataset.Dataset, rng *rand.Rand) (*dataset.Dataset, error) {
+	rows, err := t.Select(d, nil, rng)
+	if err != nil {
+		return nil, err
+	}
+	if rows == nil {
+		return d.Clone(), nil
+	}
+	return d.SelectRows(rows), nil
+}
+
+// Select is Apply in index form, so that consecutive resamples compose
+// without materializing the datasets in between. rows is the selection of
+// d's rows that the resample acts on, in order (nil = every row); the result
+// is the resampled selection as indices into d, with nil again meaning every
+// row. Select(d, rows, rng) followed by SelectRows gives the same dataset,
+// and draws the same randomness, as Apply on d.SelectRows(rows).
+func (t *Resample) Select(d *dataset.Dataset, rows []int, rng *rand.Rand) ([]int, error) {
+	// mask and every position below index the selection; rowOf maps a
+	// position back to its row of d.
 	mask := t.Profile.Pred.Mask(d, nil)
-	var match []int
-	for r, ok := range mask {
+	if rows != nil {
+		sel := make([]bool, len(rows))
+		for j, r := range rows {
+			sel[j] = mask[r]
+		}
+		mask = sel
+	}
+	rowOf := func(j int) int {
+		if rows == nil {
+			return j
+		}
+		return rows[j]
+	}
+	m := 0
+	for _, ok := range mask {
 		if ok {
-			match = append(match, r)
+			m++
 		}
 	}
-	m := len(match)
-	n := d.NumRows()
+	match := make([]int, 0, m)
+	for j, ok := range mask {
+		if ok {
+			match = append(match, j)
+		}
+	}
+	n := len(mask)
 	nonMatch := n - m
 	theta := t.Profile.Theta
 	cur := 0.0
@@ -48,42 +86,59 @@ func (t *Resample) Apply(d *dataset.Dataset, rng *rand.Rand) (*dataset.Dataset, 
 	}
 	switch {
 	case n == 0 || math.Abs(cur-theta) < 1e-12:
-		return d.Clone(), nil
+		return rows, nil
 	case theta >= 1:
 		if m == 0 {
 			return nil, fmt.Errorf("transform: cannot reach selectivity 1 for %s with no matching tuples", t.Profile.Pred)
 		}
-		return d.SelectRows(match), nil
+		out := make([]int, m)
+		for i, j := range match {
+			out[i] = rowOf(j)
+		}
+		return out, nil
 	case theta <= 0:
-		return d.Filter(func(r int) bool { return !mask[r] }), nil
+		out := make([]int, 0, nonMatch)
+		for j, ok := range mask {
+			if !ok {
+				out = append(out, rowOf(j))
+			}
+		}
+		return out, nil
 	case cur > theta:
 		// Under-sample matches: keep k with k/(k+nonMatch) = θ.
+		if nonMatch == 0 {
+			return nil, fmt.Errorf("transform: cannot lower selectivity of %s below 1 with no non-matching tuples", t.Profile.Pred)
+		}
 		k := int(math.Round(theta * float64(nonMatch) / (1 - theta)))
 		if k > m {
 			k = m
 		}
+		// Unmark the k kept matches; the unmarked positions are the result.
 		perm := rng.Perm(m)
-		keep := make(map[int]bool, k)
 		for _, pi := range perm[:k] {
-			keep[match[pi]] = true
+			mask[match[pi]] = false
 		}
-		return d.Filter(func(r int) bool {
-			return !mask[r] || keep[r]
-		}), nil
+		out := make([]int, 0, nonMatch+k)
+		for j, drop := range mask {
+			if !drop {
+				out = append(out, rowOf(j))
+			}
+		}
+		return out, nil
 	default:
 		// Over-sample matches: total matches m' with m'/(m'+nonMatch) = θ.
 		if m == 0 {
 			return nil, fmt.Errorf("transform: cannot raise selectivity of %s from zero", t.Profile.Pred)
 		}
 		target := int(math.Round(theta * float64(nonMatch) / (1 - theta)))
-		idx := make([]int, 0, n+target-m)
-		for r := 0; r < n; r++ {
-			idx = append(idx, r)
+		out := make([]int, 0, n+target-m)
+		for j := 0; j < n; j++ {
+			out = append(out, rowOf(j))
 		}
 		for extra := 0; extra < target-m; extra++ {
-			idx = append(idx, match[extra%m])
+			out = append(out, rowOf(match[extra%m]))
 		}
-		return d.SelectRows(idx), nil
+		return out, nil
 	}
 }
 
