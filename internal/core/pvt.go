@@ -132,16 +132,17 @@ type inPlaceTransformation interface {
 // builds the selected dataset once instead of once per transformation.
 type rowSelectingTransformation interface {
 	transform.Transformation
-	Select(d *dataset.Dataset, rows []int, rng *rand.Rand) ([]int, error)
+	Select(d *dataset.Dataset, rows []int, rng *rand.Rand, s *transform.SelectScratch) ([]int, error)
 }
 
 // composition builds the ◦ composition of Definition 9 on a dataset it
 // owns. Row selections stay pending as indices into cur until a
 // transformation needs the dataset itself, or the result is taken.
 type composition struct {
-	cur  *dataset.Dataset
-	rows []int // pending selection of cur's rows; nil = none
-	rng  *rand.Rand
+	cur     *dataset.Dataset
+	rows    []int // pending selection of cur's rows; nil = none
+	rng     *rand.Rand
+	scratch transform.SelectScratch // masks the row selections reuse
 }
 
 // newComposition starts a composition over d. d itself is never mutated: the
@@ -158,7 +159,7 @@ func newComposition(d *dataset.Dataset, rng *rand.Rand) *composition {
 func (c *composition) apply(ts []transform.Transformation) {
 	for _, t := range ts {
 		if rs, ok := t.(rowSelectingTransformation); ok {
-			if rows, err := rs.Select(c.cur, c.rows, c.rng); err == nil {
+			if rows, err := rs.Select(c.cur, c.rows, c.rng, &c.scratch); err == nil {
 				c.rows = rows
 				return
 			}

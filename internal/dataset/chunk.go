@@ -15,6 +15,9 @@
 //     contents but different chunk sizes compare equal and fingerprint
 //     equal.
 //
+// Categorical cells are stored as uint32 codes into a per-column dictionary
+// (dict.go); Text cells as strings.
+//
 // Readers iterate chunk-at-a-time via NumChunks/Chunk, or cell-at-a-time
 // via NumAt/StrAt/NullAt. Writers follow the CoW contract (cow.go): obtain
 // the column from Dataset.MutableColumn, then request MutableChunk for each
@@ -34,14 +37,17 @@ import (
 // small enough that a single-cell write dirties a sliver of a big column.
 const DefaultChunkSize = 1 << 16
 
-// chunk is one fixed-size window of a column: value cells, the NULL mask,
-// and the per-chunk caches. Chunks are shared between datasets after Clone;
-// the shared flag makes the next mutation grant copy the chunk first.
-// version counts mutation grants and keys the digest and stats caches.
+// chunk is one fixed-size window of a column: value cells (nums for
+// Numeric, codes into the column dictionary for Categorical, strs for
+// Text), the NULL mask, and the per-chunk caches. Chunks are shared
+// between datasets after Clone; the shared flag makes the next mutation
+// grant copy the chunk first. version counts mutation grants and keys the
+// digest and stats caches.
 type chunk struct {
 	start int // global row index of the chunk's first row
 	nums  []float64
 	strs  []string
+	codes []uint32
 	null  []bool
 
 	shared   atomic.Bool
@@ -49,6 +55,7 @@ type chunk struct {
 	digest   atomic.Uint64 // cached mergeable digest partial (fingerprint.go)
 	digestAt atomic.Uint64 // version+1 at which digest was computed; 0 = none
 	stats    atomic.Pointer[chunkStats]
+	domain   atomic.Pointer[textDomain]  // cached Text domain counts (cow.go)
 	sample   atomic.Pointer[chunkSample] // cached reservoir sample (sample.go)
 }
 
@@ -66,6 +73,9 @@ func (ch *chunk) clone() *chunk {
 	if ch.strs != nil {
 		cp.strs = append([]string(nil), ch.strs...)
 	}
+	if ch.codes != nil {
+		cp.codes = append([]uint32(nil), ch.codes...)
+	}
 	cp.null = append([]bool(nil), ch.null...)
 	return cp
 }
@@ -75,15 +85,48 @@ func (ch *chunk) clone() *chunk {
 // backing storage. Views returned by Chunk alias state shared across
 // datasets and must never be written through; views returned by
 // MutableChunk are the sanctioned write path.
+//
+// A Categorical view carries Codes and the column's dictionary Dict
+// (cell i holds Dict[Codes[i]]) and a nil Strs; a Text view carries Strs.
+// Str reads a cell of either; SetStr writes one through a mutable view.
 type ChunkView struct {
 	Start int
 	Nums  []float64 // populated for Numeric columns
-	Strs  []string  // populated for Categorical and Text columns
+	Strs  []string  // populated for Text columns
+	Codes []uint32  // populated for Categorical columns: codes into Dict
+	Dict  []string  // Categorical columns: the dictionary when the view was taken
 	Null  []bool
+
+	col *Column // the owning column, on views from MutableChunk only
 }
 
 // Len returns the number of rows in the view.
 func (v ChunkView) Len() int { return len(v.Null) }
+
+// Str returns the string cell i of a Categorical or Text view, ignoring
+// the NULL mask.
+func (v ChunkView) Str(i int) string {
+	if v.Codes != nil {
+		return v.Dict[v.Codes[i]]
+	}
+	return v.Strs[i]
+}
+
+// SetStr stores s in cell i of a view returned by MutableChunk, leaving the
+// NULL flag as it is. On a Categorical view it interns s into the column's
+// dictionary and refreshes the view's Dict. It panics on a
+// read-only view from Chunk.
+func (v *ChunkView) SetStr(i int, s string) {
+	if v.col == nil {
+		panic("dataset: SetStr on a read-only chunk view; obtain the view via MutableChunk")
+	}
+	if v.Codes == nil {
+		v.Strs[i] = s
+		return
+	}
+	v.Codes[i] = v.col.internStr(s)
+	v.Dict = v.col.dict.vals
+}
 
 // NumChunks returns the number of chunks the column's rows occupy.
 func (c *Column) NumChunks() int { return len(c.chunks) }
@@ -94,10 +137,14 @@ func (c *Column) ChunkSize() int { return c.csize }
 // Chunk returns a read-only view of chunk i. Callers must not mutate the
 // view's slices — they are shared across every dataset referencing the
 // chunk; use MutableChunk to write.
-func (c *Column) Chunk(i int) ChunkView { return c.chunks[i].view() }
+func (c *Column) Chunk(i int) ChunkView { return c.chunks[i].view(c.dict) }
 
-func (ch *chunk) view() ChunkView {
-	return ChunkView{Start: ch.start, Nums: ch.nums, Strs: ch.strs, Null: ch.null}
+func (ch *chunk) view(dc *dictionary) ChunkView {
+	v := ChunkView{Start: ch.start, Nums: ch.nums, Strs: ch.strs, Codes: ch.codes, Null: ch.null}
+	if dc != nil {
+		v.Dict = dc.vals
+	}
+	return v
 }
 
 // MutableChunk returns a writable view of chunk i, copying the chunk first
@@ -117,7 +164,9 @@ func (c *Column) MutableChunk(i int) ChunkView {
 	}
 	ch.version.Add(1)
 	c.markDirty()
-	return ch.view()
+	v := ch.view(c.dict)
+	v.col = c
+	return v
 }
 
 // chunkOf maps a global row index to (chunk index, offset inside the
@@ -141,6 +190,9 @@ func (c *Column) NumAt(row int) float64 {
 // NULL mask.
 func (c *Column) StrAt(row int) string {
 	ci, off := c.chunkOf(row)
+	if c.dict != nil {
+		return c.dict.vals[c.chunks[ci].codes[off]]
+	}
 	return c.chunks[ci].strs[off]
 }
 
@@ -154,10 +206,13 @@ func (c *Column) NullAt(row int) bool {
 // partial if they are cold. Warming is idempotent and safe to fan out in
 // parallel across (column, chunk) pairs — profile discovery uses this to
 // parallelize the per-chunk scans ahead of the cheap merge.
+//
+// A Text chunk's domain counts are not warmed: they cost a map insert per
+// cell and only DistinctStrings/Rollup on the column read them, on demand.
 func (c *Column) WarmChunk(i int) {
 	ch := c.chunks[i]
 	ch.statsBlock(c.Kind)
-	ch.digestPartial(c.Kind)
+	ch.digestPartial(c.Kind, c.Dict())
 }
 
 // ChunkMoments returns the mergeable moment summary of chunk i's non-NULL
@@ -204,9 +259,13 @@ func (c *Column) PrivatizeChunks() {
 	nullSlab := make([]bool, cells)
 	var numsSlab []float64
 	var strsSlab []string
-	if c.Kind == Numeric {
+	var codesSlab []uint32
+	switch c.Kind {
+	case Numeric:
 		numsSlab = make([]float64, cells)
-	} else {
+	case Categorical:
+		codesSlab = make([]uint32, cells)
+	default:
 		strsSlab = make([]string, cells)
 	}
 	si, off := 0, 0
@@ -219,10 +278,14 @@ func (c *Column) PrivatizeChunks() {
 		n := ch.len()
 		end := off + n
 		cp.start = ch.start
-		if c.Kind == Numeric {
+		switch c.Kind {
+		case Numeric:
 			cp.nums = numsSlab[off:end:end]
 			copy(cp.nums, ch.nums)
-		} else {
+		case Categorical:
+			cp.codes = codesSlab[off:end:end]
+			copy(cp.codes, ch.codes)
+		default:
 			cp.strs = strsSlab[off:end:end]
 			copy(cp.strs, ch.strs)
 		}
@@ -235,6 +298,7 @@ func (c *Column) PrivatizeChunks() {
 		cp.digest.Store(ch.digest.Load())
 		cp.digestAt.Store(ch.digestAt.Load())
 		cp.stats.Store(ch.stats.Load())
+		cp.domain.Store(ch.domain.Load())
 		cp.sample.Store(ch.sample.Load())
 		c.chunks[i] = cp
 	}
@@ -243,16 +307,33 @@ func (c *Column) PrivatizeChunks() {
 // newColumn chunks the given cell slices into the canonical layout for the
 // chunk size: the slices are windowed in place (no copy) with full-capacity
 // bounds so later growth of one chunk cannot bleed into the next. A nil
-// null mask allocates an all-false mask per chunk.
+// null mask allocates an all-false mask per chunk. A Categorical column's
+// strings are dictionary-encoded first (newCodedColumn takes codes).
 func newColumn(name string, kind Kind, nums []float64, strs []string, null []bool, csize int) *Column {
-	if csize < 1 {
-		csize = DefaultChunkSize
+	if kind == Categorical {
+		dc, codes := encodeStrings(strs)
+		return newCodedColumn(name, dc, codes, null, csize)
 	}
 	n := len(nums)
 	if kind != Numeric {
 		n = len(strs)
 	}
-	c := &Column{Name: name, Kind: kind, rows: n, csize: csize}
+	return layoutColumn(&Column{Name: name, Kind: kind, rows: n}, nums, strs, nil, null, csize)
+}
+
+// newCodedColumn builds a Categorical column over codes into dc; see
+// newColumn.
+func newCodedColumn(name string, dc *dictionary, codes []uint32, null []bool, csize int) *Column {
+	return layoutColumn(&Column{Name: name, Kind: Categorical, rows: len(codes), dict: dc}, nil, nil, codes, null, csize)
+}
+
+// layoutColumn windows the cell slice of c's kind into c's chunks.
+func layoutColumn(c *Column, nums []float64, strs []string, codes []uint32, null []bool, csize int) *Column {
+	if csize < 1 {
+		csize = DefaultChunkSize
+	}
+	n, kind := c.rows, c.Kind
+	c.csize = csize
 	c.shift, c.mask = chunkShiftMask(csize)
 	c.chunks = make([]*chunk, 0, (n+csize-1)/csize)
 	for start := 0; start < n; start += csize {
@@ -261,9 +342,12 @@ func newColumn(name string, kind Kind, nums []float64, strs []string, null []boo
 			end = n
 		}
 		ch := &chunk{start: start}
-		if kind == Numeric {
+		switch kind {
+		case Numeric:
 			ch.nums = nums[start:end:end]
-		} else {
+		case Categorical:
+			ch.codes = codes[start:end:end]
+		default:
 			ch.strs = strs[start:end:end]
 		}
 		if null != nil {
@@ -294,7 +378,7 @@ func chunkShiftMask(csize int) (uint, int) {
 // copy individual chunks. Caches start cold — the caller is about to
 // mutate, which would invalidate them anyway.
 func (c *Column) cloneHeader() *Column {
-	cp := &Column{Name: c.Name, Kind: c.Kind, rows: c.rows, csize: c.csize, shift: c.shift, mask: c.mask}
+	cp := &Column{Name: c.Name, Kind: c.Kind, rows: c.rows, csize: c.csize, shift: c.shift, mask: c.mask, dict: c.shareDict()}
 	cp.chunks = make([]*chunk, len(c.chunks))
 	for i, ch := range c.chunks {
 		ch.shared.Store(true)
@@ -315,18 +399,24 @@ func (d *Dataset) Rechunk(size int) *Dataset {
 	for _, c := range d.cols {
 		var nums []float64
 		var strs []string
+		var codes []uint32
 		null := make([]bool, 0, c.rows)
-		if c.Kind == Numeric {
+		switch c.Kind {
+		case Numeric:
 			nums = make([]float64, 0, c.rows)
-		} else {
+		case Categorical:
+			codes = make([]uint32, 0, c.rows)
+		default:
 			strs = make([]string, 0, c.rows)
 		}
 		for _, ch := range c.chunks {
 			nums = append(nums, ch.nums...)
 			strs = append(strs, ch.strs...)
+			codes = append(codes, ch.codes...)
 			null = append(null, ch.null...)
 		}
-		if err := out.addColumn(newColumn(c.Name, c.Kind, nums, strs, null, size)); err != nil {
+		nc := &Column{Name: c.Name, Kind: c.Kind, rows: c.rows, dict: c.shareDict()}
+		if err := out.addColumn(layoutColumn(nc, nums, strs, codes, null, size)); err != nil {
 			panic(err) // cannot happen: schema mirrors a valid dataset
 		}
 	}

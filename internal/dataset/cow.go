@@ -74,16 +74,18 @@ func (c *Column) markDirty() { c.version.Add(1) }
 
 // chunkStats is the per-chunk statistics block: NULL count plus a mergeable
 // summary of the chunk's non-NULL cells — moments and a quantile sketch for
-// numeric chunks, domain counts for string chunks. The block is constant
-// size (no row-length vectors), and column-level statistics are merges of
-// these, so after a sparse write only the dirty chunks rescan.
+// numeric chunks, per-code counts for categorical chunks. The block holds
+// no row-length vectors, and column-level statistics are merges of these,
+// so after a sparse write only the dirty chunks rescan. A Text chunk's
+// domain counts live apart, in textDomain, computed only when a roll-up
+// asks for them.
 type chunkStats struct {
 	version uint64 // chunk version the block was computed at
 
 	nulls   int
 	moments stats.Moments
 	sketch  *stats.QuantileSketch
-	counts  map[string]int
+	counts  []int // Categorical: non-NULL cells per code, up to the largest code used
 }
 
 // statsBlock returns the chunk's statistics block, computing and caching it
@@ -112,16 +114,46 @@ func (ch *chunk) statsBlock(kind Kind) *chunkStats {
 		s.moments = stats.MomentsOf(vals)
 		sort.Float64s(vals)
 		s.sketch = stats.SketchSorted(vals, stats.SketchSize)
-	} else {
-		s.counts = make(map[string]int)
-		for i, val := range ch.strs {
+	} else if kind == Categorical {
+		top := -1
+		for i, code := range ch.codes {
+			if !ch.null[i] && int(code) > top {
+				top = int(code)
+			}
+		}
+		s.counts = make([]int, top+1)
+		for i, code := range ch.codes {
 			if !ch.null[i] {
-				s.counts[val]++
+				s.counts[code]++
 			}
 		}
 	}
 	ch.stats.Store(s)
 	return s
+}
+
+// textDomain is a Text chunk's domain counts, keyed by the chunk version
+// they were computed at.
+type textDomain struct {
+	version uint64
+	counts  map[string]int
+}
+
+// textCounts returns the Text chunk's per-value counts of non-NULL cells,
+// computing and caching them on first use.
+func (ch *chunk) textCounts() map[string]int {
+	v := ch.version.Load()
+	if t := ch.domain.Load(); t != nil && t.version == v {
+		return t.counts
+	}
+	t := &textDomain{version: v, counts: make(map[string]int)}
+	for i, val := range ch.strs {
+		if !ch.null[i] {
+			t.counts[val]++
+		}
+	}
+	ch.domain.Store(t)
+	return t.counts
 }
 
 // ColumnRollup is the column-level merge of the per-chunk statistics blocks:
@@ -131,7 +163,7 @@ func (ch *chunk) statsBlock(kind Kind) *chunkStats {
 // O(#chunks) merges over cached chunk blocks (only dirty chunks rescan) and
 // it never materializes row-length value vectors; use the deprecated Stats
 // block only when the full vectors are genuinely required. All fields are
-// read-only for callers; the map and slices are shared, never mutate them.
+// read-only for callers; the slices are shared, never mutate them.
 type ColumnRollup struct {
 	version uint64 // column version the roll-up was computed at
 
@@ -144,9 +176,9 @@ type ColumnRollup struct {
 	Moments stats.Moments
 	Sketch  *stats.QuantileSketch
 
-	// String columns: Counts holds the per-value multiplicities and Distinct
-	// the sorted distinct values.
-	Counts   map[string]int
+	// String columns: Distinct holds the sorted distinct non-NULL values
+	// and Counts their multiplicities, Counts[i] for Distinct[i].
+	Counts   []int
 	Distinct []string
 }
 
@@ -204,32 +236,94 @@ func (c *Column) Rollup() *ColumnRollup {
 	return r
 }
 
-// computeRollup merges the per-chunk statistics blocks.
+// computeRollup merges the per-chunk statistics blocks. Categorical counts
+// merge by code, and only the dictionary entries in use are sorted.
 func (c *Column) computeRollup(version uint64) *ColumnRollup {
-	r := &ColumnRollup{version: version, Rows: c.rows}
-	if c.Kind == Numeric {
+	r := &ColumnRollup{version: version, Rows: c.rows, Nulls: c.nullCount()}
+	switch c.Kind {
+	case Numeric:
 		for _, ch := range c.chunks {
 			p := ch.statsBlock(Numeric)
-			r.Nulls += p.nulls
 			r.Moments = r.Moments.Merge(p.moments)
 			r.Sketch = r.Sketch.Merge(p.sketch)
 		}
-		return r
-	}
-	r.Counts = make(map[string]int)
-	for _, ch := range c.chunks {
-		p := ch.statsBlock(c.Kind)
-		r.Nulls += p.nulls
-		for val, n := range p.counts {
-			r.Counts[val] += n
+	case Categorical:
+		dict := c.dict.vals
+		total := make([]int, len(dict))
+		for _, ch := range c.chunks {
+			for code, n := range ch.statsBlock(Categorical).counts {
+				total[code] += n
+			}
+		}
+		var used []uint32
+		for code, n := range total {
+			if n > 0 {
+				used = append(used, uint32(code))
+			}
+		}
+		sort.Slice(used, func(i, j int) bool { return dict[used[i]] < dict[used[j]] })
+		r.Distinct = make([]string, len(used))
+		r.Counts = make([]int, len(used))
+		for i, code := range used {
+			r.Distinct[i], r.Counts[i] = dict[code], total[code]
+		}
+	default:
+		merged := make(map[string]int)
+		for _, ch := range c.chunks {
+			for val, n := range ch.textCounts() {
+				merged[val] += n
+			}
+		}
+		r.Distinct = make([]string, 0, len(merged))
+		for val := range merged {
+			r.Distinct = append(r.Distinct, val)
+		}
+		sort.Strings(r.Distinct)
+		r.Counts = make([]int, len(r.Distinct))
+		for i, val := range r.Distinct {
+			r.Counts[i] = merged[val]
 		}
 	}
-	r.Distinct = make([]string, 0, len(r.Counts))
-	for val := range r.Counts {
-		r.Distinct = append(r.Distinct, val)
-	}
-	sort.Strings(r.Distinct)
 	return r
+}
+
+// nullCount sums the per-chunk NULL counts.
+func (c *Column) nullCount() int {
+	n := 0
+	for _, ch := range c.chunks {
+		n += ch.statsBlock(c.Kind).nulls
+	}
+	return n
+}
+
+// DistinctCapped returns the number of distinct non-NULL values of the
+// named string column, or cap+1 if there are more than cap — the probe
+// domain-size gates use. A Text column whose roll-up is not cached is
+// scanned only until the (cap+1)-th distinct value, without building or
+// sorting its domain counts. Numeric and missing columns report 0.
+func (d *Dataset) DistinctCapped(attr string, cap int) int {
+	c := d.Column(attr)
+	if c == nil || c.Kind == Numeric {
+		return 0
+	}
+	if r := c.rollup.Load(); c.Kind == Categorical || (r != nil && r.version == c.version.Load()) {
+		return min(len(c.Rollup().Distinct), cap+1)
+	}
+	seen := make(map[string]struct{})
+	for _, ch := range c.chunks {
+		for i, val := range ch.strs {
+			if ch.null[i] {
+				continue
+			}
+			if _, ok := seen[val]; !ok {
+				if len(seen) == cap {
+					return cap + 1
+				}
+				seen[val] = struct{}{}
+			}
+		}
+	}
+	return len(seen)
 }
 
 // ColumnStats is the deprecated full-vector statistics block: NULL counts,
@@ -256,10 +350,13 @@ type ColumnStats struct {
 	StdDev     float64
 	Min, Max   float64
 
-	// String columns: Strs holds the non-NULL values in row order, Counts
-	// the per-value multiplicities, and Distinct the sorted distinct values.
+	// String columns: Strs holds the non-NULL values in row order. For
+	// Categorical columns Distinct and Counts are the roll-up's (sorted
+	// distinct values and their multiplicities); for Text columns they are
+	// nil — the domain counts are built only on demand, through Rollup or
+	// Dataset.DistinctStrings.
 	Strs     []string
-	Counts   map[string]int
+	Counts   []int
 	Distinct []string
 }
 
@@ -283,11 +380,12 @@ func (c *Column) Stats() *ColumnStats {
 
 // computeStats materializes the full-vector block: row-order concatenation
 // of the non-NULL cells (layout-agnostic by construction) plus a sorted copy
-// via sort.Float64s, with the scalar fields shared with the roll-up.
+// via sort.Float64s, with the scalar fields shared with the roll-up. A Text
+// column's block leaves its roll-up unbuilt.
 func (c *Column) computeStats(version uint64) *ColumnStats {
-	r := c.Rollup()
-	s := &ColumnStats{version: version, Rows: c.rows, Nulls: r.Nulls}
+	s := &ColumnStats{version: version, Rows: c.rows, Nulls: c.nullCount()}
 	if c.Kind == Numeric {
+		r := c.Rollup()
 		s.Nums = make([]float64, 0, c.rows-r.Nulls)
 		for _, ch := range c.chunks {
 			for i, val := range ch.nums {
@@ -304,16 +402,20 @@ func (c *Column) computeStats(version uint64) *ColumnStats {
 		s.Max = r.Max()
 		return s
 	}
-	s.Strs = make([]string, 0, c.rows-r.Nulls)
+	s.Strs = make([]string, 0, c.rows-s.Nulls)
 	for _, ch := range c.chunks {
-		for i, val := range ch.strs {
-			if !ch.null[i] {
-				s.Strs = append(s.Strs, val)
+		v := ch.view(c.dict)
+		for i, null := range v.Null {
+			if !null {
+				s.Strs = append(s.Strs, v.Str(i))
 			}
 		}
 	}
-	s.Counts = r.Counts
-	s.Distinct = r.Distinct
+	if c.Kind == Categorical {
+		r := c.Rollup()
+		s.Counts = r.Counts
+		s.Distinct = r.Distinct
+	}
 	return s
 }
 

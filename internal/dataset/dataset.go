@@ -22,7 +22,8 @@ type Kind int
 const (
 	// Numeric columns store float64 values.
 	Numeric Kind = iota
-	// Categorical columns store string values drawn from a small domain.
+	// Categorical columns store string values drawn from a small domain,
+	// as codes into a per-column dictionary (dict.go).
 	Categorical
 	// Text columns store free-form strings (reviews, license plates, ...).
 	Text
@@ -64,6 +65,10 @@ type Column struct {
 	shift  uint
 	mask   int
 	chunks []*chunk
+
+	// dict is a Categorical column's dictionary (dict.go), shared
+	// copy-on-write like the chunks; nil for other kinds.
+	dict *dictionary
 
 	// shared marks the column header as referenced by more than one
 	// dataset; the next mutation grant copies the header (cow.go). version
@@ -182,6 +187,29 @@ func (d *Dataset) AddCategoricalColumn(name string, vals []string, null []bool) 
 	return d.addColumn(newColumn(name, Categorical, nil, vals, null, d.csize))
 }
 
+// AddCategoricalCodes appends a categorical column given in dictionary
+// form: cell i holds dict[codes[i]]. The dictionary entries must be
+// distinct and every code, NULL cells' included, must index it; the column
+// adopts both slices without copying. A nil null mask means no NULLs.
+func (d *Dataset) AddCategoricalCodes(name string, dict []string, codes []uint32, null []bool) error {
+	if null != nil && len(null) != len(codes) {
+		return fmt.Errorf("dataset: column %q null mask has %d entries, want %d", name, len(null), len(codes))
+	}
+	seen := make(map[string]struct{}, len(dict))
+	for _, v := range dict {
+		if _, dup := seen[v]; dup {
+			return fmt.Errorf("dataset: column %q: duplicate dictionary entry %q", name, v)
+		}
+		seen[v] = struct{}{}
+	}
+	for i, code := range codes {
+		if int(code) >= len(dict) {
+			return fmt.Errorf("dataset: column %q row %d: code %d outside a dictionary of %d entries", name, i, code, len(dict))
+		}
+	}
+	return d.addColumn(newCodedColumn(name, &dictionary{vals: dict}, codes, null, d.csize))
+}
+
 // AddTextColumn appends a free-text column. A nil null mask means no NULLs.
 func (d *Dataset) AddTextColumn(name string, vals []string, null []bool) error {
 	if null != nil && len(null) != len(vals) {
@@ -243,12 +271,10 @@ func (d *Dataset) Str(attr string, row int) string {
 	if c == nil || c.Kind == Numeric {
 		panic(fmt.Sprintf("dataset: %q is not a string column", attr))
 	}
-	ci, off := c.chunkOf(row)
-	ch := c.chunks[ci]
-	if ch.null[off] {
+	if c.NullAt(row) {
 		return ""
 	}
-	return ch.strs[off]
+	return c.StrAt(row)
 }
 
 // SetNum stores a numeric value, clearing the NULL flag. The write goes
@@ -277,7 +303,7 @@ func (d *Dataset) SetStr(attr string, row int, v string) {
 	c = d.MutableColumn(attr)
 	ci, off := c.chunkOf(row)
 	w := c.MutableChunk(ci)
-	w.Strs[off] = v
+	w.SetStr(off, v)
 	w.Null[off] = false
 }
 
@@ -338,7 +364,7 @@ func (d *Dataset) SelectRows(idx []int) *Dataset {
 	cols := make([]*Column, len(d.cols))
 	for i, c := range d.cols {
 		cols[i] = &Column{Name: c.Name, Kind: c.Kind, rows: n, csize: cs, shift: c.shift, mask: c.mask,
-			chunks: make([]*chunk, nch)}
+			chunks: make([]*chunk, nch), dict: c.shareDict()}
 	}
 	type run struct{ dst, src, off, n int } // n rows from source chunk src at off
 	var runs []run
@@ -363,17 +389,23 @@ func (d *Dataset) SelectRows(idx []int) *Dataset {
 		}
 		for i, c := range d.cols {
 			ch := &chunk{start: s, null: make([]bool, e-s)}
-			if c.Kind == Numeric {
+			switch c.Kind {
+			case Numeric:
 				ch.nums = make([]float64, e-s)
-			} else {
+			case Categorical:
+				ch.codes = make([]uint32, e-s)
+			default:
 				ch.strs = make([]string, e-s)
 			}
 			for _, r := range runs {
 				sch := c.chunks[r.src]
 				copy(ch.null[r.dst:], sch.null[r.off:r.off+r.n])
-				if c.Kind == Numeric {
+				switch c.Kind {
+				case Numeric:
 					copy(ch.nums[r.dst:], sch.nums[r.off:r.off+r.n])
-				} else {
+				case Categorical:
+					copy(ch.codes[r.dst:], sch.codes[r.off:r.off+r.n])
+				default:
 					copy(ch.strs[r.dst:], sch.strs[r.off:r.off+r.n])
 				}
 			}
@@ -433,8 +465,14 @@ func (d *Dataset) Append(other *Dataset) (*Dataset, error) {
 }
 
 // appendCells reflows every row of src onto the end of c, keeping c's
-// canonical chunk layout. The column header must be exclusively owned.
+// canonical chunk layout. The column header must be exclusively owned. A
+// Categorical src's codes are remapped into c's dictionary, interning each
+// entry src's cells use once.
 func (c *Column) appendCells(src *Column) {
+	var remap []uint32 // src code -> c code + 1; 0 = not yet interned
+	if c.Kind == Categorical {
+		remap = make([]uint32, len(src.dict.vals))
+	}
 	// The last chunk may need to grow: copy it out of sharing first.
 	if n := len(c.chunks); n > 0 && c.chunks[n-1].len() < c.csize {
 		last := c.chunks[n-1]
@@ -452,9 +490,12 @@ func (c *Column) appendCells(src *Column) {
 				last = c.chunks[n-1]
 			} else {
 				last = &chunk{start: c.rows}
-				if c.Kind == Numeric {
+				switch c.Kind {
+				case Numeric:
 					last.nums = make([]float64, 0, c.csize)
-				} else {
+				case Categorical:
+					last.codes = make([]uint32, 0, c.csize)
+				default:
 					last.strs = make([]string, 0, c.csize)
 				}
 				last.null = make([]bool, 0, c.csize)
@@ -466,9 +507,17 @@ func (c *Column) appendCells(src *Column) {
 			if rem := sch.len() - off; n > rem {
 				n = rem
 			}
-			if c.Kind == Numeric {
+			switch c.Kind {
+			case Numeric:
 				last.nums = append(last.nums, sch.nums[off:off+n]...)
-			} else {
+			case Categorical:
+				for _, code := range sch.codes[off : off+n] {
+					if remap[code] == 0 {
+						remap[code] = c.internStr(src.dict.vals[code]) + 1
+					}
+					last.codes = append(last.codes, remap[code]-1)
+				}
+			default:
 				last.strs = append(last.strs, sch.strs[off:off+n]...)
 			}
 			last.null = append(last.null, sch.null[off:off+n]...)
@@ -559,7 +608,9 @@ func (d *Dataset) StringValues(attr string) []string {
 // DistinctStrings returns the sorted distinct non-NULL values of a string
 // column. The slice is the cached roll-up's and must not be mutated by the
 // caller. Served from the per-chunk domain counts in O(#chunks) merges — no
-// full vector is materialized.
+// full vector is materialized. A Text column builds its domain counts on
+// the first call per column version; to gate on domain size, DistinctCapped
+// is cheaper.
 func (d *Dataset) DistinctStrings(attr string) []string {
 	c := d.Column(attr)
 	if c == nil || c.Kind == Numeric {
@@ -568,14 +619,15 @@ func (d *Dataset) DistinctStrings(attr string) []string {
 	return c.Rollup().Distinct
 }
 
-// NullCount returns the number of NULL slots in the column, served from the
-// per-chunk roll-ups in O(#chunks).
+// NullCount returns the number of NULL slots in the column, summed from
+// the per-chunk statistics blocks in O(#chunks); it never builds a Text
+// column's domain counts.
 func (d *Dataset) NullCount(attr string) int {
 	c := d.Column(attr)
 	if c == nil {
 		return 0
 	}
-	return c.Rollup().Nulls
+	return c.nullCount()
 }
 
 // SchemaEqual reports whether two datasets share names, order, and kinds.
@@ -611,10 +663,13 @@ func (d *Dataset) Equal(other *Dataset) bool {
 // contentEqual compares cell values across two columns of equal length with
 // a dual chunk cursor, so the chunk boundaries of the two sides need not
 // align. CoW-shared chunks compare pointer-equal and skip the cell walk.
+// Categorical cells compare as codes when both columns use one dictionary
+// and as strings otherwise.
 func (c *Column) contentEqual(o *Column) bool {
 	if c == o {
 		return true
 	}
+	sameDict := c.dict == o.dict
 	var ci, co, offC, offO int
 	for done := 0; done < c.rows; {
 		chc, cho := c.chunks[ci], o.chunks[co]
@@ -634,13 +689,24 @@ func (c *Column) contentEqual(o *Column) bool {
 			if chc.null[offC+k] {
 				continue
 			}
-			if c.Kind == Numeric {
+			switch {
+			case c.Kind == Numeric:
 				a, b := chc.nums[offC+k], cho.nums[offO+k]
 				if a != b && !(math.IsNaN(a) && math.IsNaN(b)) {
 					return false
 				}
-			} else if chc.strs[offC+k] != cho.strs[offO+k] {
-				return false
+			case c.Kind == Categorical && sameDict:
+				if chc.codes[offC+k] != cho.codes[offO+k] {
+					return false
+				}
+			case c.Kind == Categorical:
+				if c.dict.vals[chc.codes[offC+k]] != o.dict.vals[cho.codes[offO+k]] {
+					return false
+				}
+			default:
+				if chc.strs[offC+k] != cho.strs[offO+k] {
+					return false
+				}
 			}
 		}
 		done += n

@@ -62,7 +62,7 @@ func (d *Dataset) fingerprintScratch() uint64 {
 	for _, c := range d.cols {
 		var total uint64
 		for _, ch := range c.chunks {
-			total += ch.computePartial(c.Kind)
+			total += ch.computePartial(c.Kind, c.Dict())
 		}
 		h.word(c.finalizeDigest(total))
 	}
@@ -86,7 +86,7 @@ func (c *Column) Digest() uint64 {
 	}
 	var total uint64
 	for _, ch := range c.chunks {
-		total += ch.digestPartial(c.Kind)
+		total += ch.digestPartial(c.Kind, c.Dict())
 	}
 	dg := c.finalizeDigest(total)
 	c.digest.Store(dg)
@@ -108,12 +108,15 @@ func (c *Column) finalizeDigest(total uint64) uint64 {
 
 // digestPartial returns the chunk's cell-content partial, cached per chunk
 // version. The same store/load ordering convention as Column.Digest applies.
-func (ch *chunk) digestPartial(kind Kind) uint64 {
+// dict is the column dictionary of a Categorical chunk: every dictionary
+// sharing the chunk decodes its codes to the same strings, so the cached
+// partial holds for all of them.
+func (ch *chunk) digestPartial(kind Kind, dict []string) uint64 {
 	v := ch.version.Load()
 	if at := ch.digestAt.Load(); at == v+1 {
 		return ch.digest.Load()
 	}
-	p := ch.computePartial(kind)
+	p := ch.computePartial(kind, dict)
 	ch.digest.Store(p)
 	ch.digestAt.Store(v + 1)
 	return p
@@ -123,10 +126,12 @@ func (ch *chunk) digestPartial(kind Kind) uint64 {
 // independently, salted with its global row index, and the per-cell hashes
 // combine by wrapping addition — a commutative merge, so partials summed in
 // any grouping (any chunk layout) give the same column total, and one dirty
-// chunk re-hashes without touching its neighbours.
-func (ch *chunk) computePartial(kind Kind) uint64 {
+// chunk re-hashes without touching its neighbours. A Categorical cell
+// hashes its dictionary string, exactly as the string cell it stands for.
+func (ch *chunk) computePartial(kind Kind, dict []string) uint64 {
 	var total uint64
-	if kind == Numeric {
+	switch kind {
+	case Numeric:
 		for i, v := range ch.nums {
 			if ch.null[i] {
 				total += hashNullCell(ch.start + i)
@@ -134,7 +139,15 @@ func (ch *chunk) computePartial(kind Kind) uint64 {
 			}
 			total += hashNumCell(ch.start+i, v)
 		}
-	} else {
+	case Categorical:
+		for i, code := range ch.codes {
+			if ch.null[i] {
+				total += hashNullCell(ch.start + i)
+				continue
+			}
+			total += hashStrCell(ch.start+i, dict[code])
+		}
+	default:
 		for i, v := range ch.strs {
 			if ch.null[i] {
 				total += hashNullCell(ch.start + i)
@@ -207,20 +220,19 @@ func (s *fpHash) word(v uint64) {
 	s.h = fpRotl(s.h, 27)*fpPrime1 + fpPrime4
 }
 
-// str folds a length-prefixed string in (so "ab","c" ≠ "a","bc").
+// str folds a length-prefixed string in (so "ab","c" ≠ "a","bc"): the
+// bytes in little-endian 8-byte words, the last one zero-padded.
 func (s *fpHash) str(v string) {
 	s.word(uint64(len(v)))
-	var chunk uint64
-	n := 0
-	for i := 0; i < len(v); i++ {
-		chunk |= uint64(v[i]) << (8 * n)
-		n++
-		if n == 8 {
-			s.word(chunk)
-			chunk, n = 0, 0
-		}
+	for ; len(v) >= 8; v = v[8:] {
+		s.word(uint64(v[0]) | uint64(v[1])<<8 | uint64(v[2])<<16 | uint64(v[3])<<24 |
+			uint64(v[4])<<32 | uint64(v[5])<<40 | uint64(v[6])<<48 | uint64(v[7])<<56)
 	}
-	if n > 0 {
+	if len(v) > 0 {
+		var chunk uint64
+		for i := 0; i < len(v); i++ {
+			chunk |= uint64(v[i]) << (8 * i)
+		}
 		s.word(chunk)
 	}
 }

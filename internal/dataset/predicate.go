@@ -55,6 +55,10 @@ func (o Op) String() string {
 
 // Clause is a single comparison Attr Op Value. For string columns only
 // Eq/Ne/IsNull/NotNull are meaningful; numeric columns support all operators.
+// A numeric clause (IsNum) compares against numeric columns and a string
+// clause against string columns; against a column of the other kind the
+// value equals no cell, so Ne matches every non-NULL row and every other
+// value operator none.
 type Clause struct {
 	Attr   string
 	Op     Op
@@ -90,6 +94,11 @@ func (c Clause) Eval(d *Dataset, r int) bool {
 	}
 	if col.NullAt(r) {
 		return false
+	}
+	if c.IsNum != (col.Kind == Numeric) {
+		// A typed comparison against a column of the other kind; see
+		// boundClause.andWindow.
+		return c.Op == Ne
 	}
 	if col.Kind == Numeric {
 		v := col.NumAt(r)
@@ -166,10 +175,11 @@ func (p Predicate) Attributes() []string {
 
 // Mask evaluates the predicate column-at-a-time: the mask starts all true
 // and each clause ANDs its column in, iterating chunk-at-a-time with the
-// operator dispatch hoisted out of the row loop. buf is reused when it has
-// sufficient capacity, so selectivity profiling over many predicates
-// allocates once. The result is row-for-row identical to calling Eval per
-// row, for any chunk layout.
+// operator dispatch hoisted out of the row loop. A string clause on a
+// Categorical column is resolved once against the column's dictionary and
+// compares codes. buf is reused when it has sufficient capacity, so
+// selectivity profiling over many predicates allocates once. The result is
+// row-for-row identical to calling Eval per row, for any chunk layout.
 func (p Predicate) Mask(d *Dataset, buf []bool) []bool {
 	n := d.NumRows()
 	if cap(buf) >= n {
@@ -180,31 +190,81 @@ func (p Predicate) Mask(d *Dataset, buf []bool) []bool {
 	for i := range buf {
 		buf[i] = true
 	}
-	for _, c := range p.Clauses {
-		c.maskAnd(d, buf)
+	if n == 0 {
+		return buf
+	}
+	bound := p.bind(d)
+	for k, ch := range d.cols[0].chunks {
+		win := buf[ch.start : ch.start+ch.len()]
+		for i := range bound {
+			bound[i].andWindow(k, 0, win)
+		}
 	}
 	return buf
 }
 
-// maskAnd ANDs the clause into mask, one chunk-windowed pass per clause.
-func (c Clause) maskAnd(d *Dataset, mask []bool) {
-	col := d.Column(c.Attr)
-	if col == nil {
-		for i := range mask {
-			mask[i] = false
-		}
+// scanWindow is the row window scan evaluates the predicate over at a time:
+// small enough to live on the stack, large enough to amortize the
+// per-clause dispatch.
+const scanWindow = 512
+
+// scan evaluates the predicate window by window, without a row-length
+// mask, calling visit with each window's first global row and its mask.
+func (p Predicate) scan(d *Dataset, visit func(start int, mask []bool)) {
+	if d.NumRows() == 0 {
 		return
 	}
-	for k := 0; k < col.NumChunks(); k++ {
-		c.maskAndChunk(col.Kind, col.Chunk(k), mask)
+	bound := p.bind(d)
+	var buf [scanWindow]bool
+	for k, ch := range d.cols[0].chunks {
+		for lo := 0; lo < ch.len(); lo += scanWindow {
+			win := buf[:min(scanWindow, ch.len()-lo)]
+			for i := range win {
+				win[i] = true
+			}
+			for i := range bound {
+				bound[i].andWindow(k, lo, win)
+			}
+			visit(ch.start+lo, win)
+		}
 	}
 }
 
-// maskAndChunk ANDs the clause into the mask window covering one chunk.
-func (c Clause) maskAndChunk(kind Kind, w ChunkView, full []bool) {
-	mask := full[w.Start : w.Start+w.Len()]
-	null := w.Null
-	switch c.Op {
+// boundClause is a clause bound to one dataset's column. A string
+// comparison on a Categorical column carries the clause value resolved to
+// its code in the column's dictionary, or absent when no entry holds it.
+type boundClause struct {
+	Clause
+	col    *Column
+	code   uint32
+	absent bool
+}
+
+// bind resolves every clause against d.
+func (p Predicate) bind(d *Dataset) []boundClause {
+	bound := make([]boundClause, len(p.Clauses))
+	for i, c := range p.Clauses {
+		b := boundClause{Clause: c, col: d.Column(c.Attr)}
+		if b.col != nil && b.col.Kind == Categorical && !c.IsNum {
+			code, ok := lookup(b.col.Dict(), c.StrVal)
+			b.code, b.absent = code, !ok
+		}
+		bound[i] = b
+	}
+	return bound
+}
+
+// andWindow ANDs the clause into mask, which covers the rows of chunk k
+// from offset lo on.
+func (b *boundClause) andWindow(k, lo int, mask []bool) {
+	if b.col == nil {
+		clear(mask)
+		return
+	}
+	ch := b.col.chunks[k]
+	hi := lo + len(mask)
+	null := ch.null[lo:hi]
+	switch b.Op {
 	case IsNull:
 		for i := range mask {
 			mask[i] = mask[i] && null[i]
@@ -216,84 +276,117 @@ func (c Clause) maskAndChunk(kind Kind, w ChunkView, full []bool) {
 		}
 		return
 	}
-	if kind == Numeric {
-		v := c.NumVal
-		nums := w.Nums
-		switch c.Op {
-		case Eq:
+	if b.IsNum != (b.col.Kind == Numeric) {
+		// A typed comparison against a column of the other kind: no cell
+		// equals the value, so Ne holds on every non-NULL cell and every
+		// other operator on none.
+		if b.Op == Ne {
 			for i := range mask {
-				mask[i] = mask[i] && !null[i] && nums[i] == v
+				mask[i] = mask[i] && !null[i]
 			}
-		case Ne:
-			for i := range mask {
-				mask[i] = mask[i] && !null[i] && nums[i] != v
-			}
-		case Lt:
-			for i := range mask {
-				mask[i] = mask[i] && !null[i] && nums[i] < v
-			}
-		case Le:
-			for i := range mask {
-				mask[i] = mask[i] && !null[i] && nums[i] <= v
-			}
-		case Gt:
-			for i := range mask {
-				mask[i] = mask[i] && !null[i] && nums[i] > v
-			}
-		case Ge:
-			for i := range mask {
-				mask[i] = mask[i] && !null[i] && nums[i] >= v
-			}
-		default:
-			for i := range mask {
-				mask[i] = false
-			}
+		} else {
+			clear(mask)
 		}
 		return
 	}
-	v := c.StrVal
-	strs := w.Strs
-	switch c.Op {
-	case Eq:
-		for i := range mask {
-			mask[i] = mask[i] && !null[i] && strs[i] == v
-		}
-	case Ne:
-		for i := range mask {
-			mask[i] = mask[i] && !null[i] && strs[i] != v
+	switch b.col.Kind {
+	case Numeric:
+		andNums(b.Op, b.NumVal, ch.nums[lo:hi], null, mask)
+	case Categorical:
+		codes := ch.codes[lo:hi]
+		switch {
+		case b.Op == Eq && !b.absent:
+			for i := range mask {
+				mask[i] = mask[i] && !null[i] && codes[i] == b.code
+			}
+		case b.Op == Ne && !b.absent:
+			for i := range mask {
+				mask[i] = mask[i] && !null[i] && codes[i] != b.code
+			}
+		case b.Op == Ne:
+			for i := range mask {
+				mask[i] = mask[i] && !null[i]
+			}
+		default:
+			clear(mask)
 		}
 	default:
-		for i := range mask {
-			mask[i] = false
+		strs := ch.strs[lo:hi]
+		switch b.Op {
+		case Eq:
+			for i := range mask {
+				mask[i] = mask[i] && !null[i] && strs[i] == b.StrVal
+			}
+		case Ne:
+			for i := range mask {
+				mask[i] = mask[i] && !null[i] && strs[i] != b.StrVal
+			}
+		default:
+			clear(mask)
 		}
 	}
 }
 
+// andNums ANDs a numeric comparison against v into mask.
+func andNums(op Op, v float64, nums []float64, null, mask []bool) {
+	switch op {
+	case Eq:
+		for i := range mask {
+			mask[i] = mask[i] && !null[i] && nums[i] == v
+		}
+	case Ne:
+		for i := range mask {
+			mask[i] = mask[i] && !null[i] && nums[i] != v
+		}
+	case Lt:
+		for i := range mask {
+			mask[i] = mask[i] && !null[i] && nums[i] < v
+		}
+	case Le:
+		for i := range mask {
+			mask[i] = mask[i] && !null[i] && nums[i] <= v
+		}
+	case Gt:
+		for i := range mask {
+			mask[i] = mask[i] && !null[i] && nums[i] > v
+		}
+	case Ge:
+		for i := range mask {
+			mask[i] = mask[i] && !null[i] && nums[i] >= v
+		}
+	default:
+		clear(mask)
+	}
+}
+
 // Selectivity returns the fraction of rows satisfying the predicate.
-// An empty dataset has selectivity 0.
+// An empty dataset has selectivity 0. The matches are counted window by
+// window, so no row-length mask is allocated.
 func (p Predicate) Selectivity(d *Dataset) float64 {
 	if d.NumRows() == 0 {
 		return 0
 	}
-	mask := p.Mask(d, nil)
 	n := 0
-	for _, ok := range mask {
-		if ok {
-			n++
+	p.scan(d, func(_ int, mask []bool) {
+		for _, ok := range mask {
+			if ok {
+				n++
+			}
 		}
-	}
+	})
 	return float64(n) / float64(d.NumRows())
 }
 
 // MatchingRows returns the indices of rows satisfying the predicate.
 func (p Predicate) MatchingRows(d *Dataset) []int {
-	mask := p.Mask(d, nil)
 	var idx []int
-	for r, ok := range mask {
-		if ok {
-			idx = append(idx, r)
+	p.scan(d, func(start int, mask []bool) {
+		for i, ok := range mask {
+			if ok {
+				idx = append(idx, start+i)
+			}
 		}
-	}
+	})
 	return idx
 }
 

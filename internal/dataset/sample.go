@@ -26,9 +26,10 @@ type chunkSample struct {
 	seed    int64
 	quota   int
 
-	nums []float64
-	strs []string
-	null []bool
+	nums  []float64
+	strs  []string
+	codes []uint32
+	null  []bool
 }
 
 // sampleSlots draws the chunk's sampled row offsets: quota ascending
@@ -48,18 +49,25 @@ func (ch *chunk) sampleBlock(kind Kind, quota int, seed int64) *chunkSample {
 	}
 	idx := ch.sampleSlots(quota, seed)
 	s := &chunkSample{version: v, seed: seed, quota: quota, null: make([]bool, len(idx))}
-	if kind == Numeric {
+	switch kind {
+	case Numeric:
 		s.nums = make([]float64, len(idx))
 		for j, i := range idx {
 			s.nums[j] = ch.nums[i]
-			s.null[j] = ch.null[i]
 		}
-	} else {
+	case Categorical:
+		s.codes = make([]uint32, len(idx))
+		for j, i := range idx {
+			s.codes[j] = ch.codes[i]
+		}
+	default:
 		s.strs = make([]string, len(idx))
 		for j, i := range idx {
 			s.strs[j] = ch.strs[i]
-			s.null[j] = ch.null[i]
 		}
+	}
+	for j, i := range idx {
+		s.null[j] = ch.null[i]
 	}
 	ch.sample.Store(s)
 	return s
@@ -142,31 +150,29 @@ func (d *Dataset) SampleView(cap int, seed int64) *Dataset {
 		sc.cols[i] = c
 		sc.vers[i] = c.version.Load()
 		null := make([]bool, 0, cap)
-		var nc *Column
-		if c.Kind == Numeric {
-			nums := make([]float64, 0, cap)
-			for k, ch := range c.chunks {
-				if quotas[k] == 0 {
-					continue
-				}
-				s := ch.sampleBlock(c.Kind, quotas[k], seed)
-				nums = append(nums, s.nums...)
-				null = append(null, s.null...)
-			}
-			nc = newColumn(c.Name, c.Kind, nums, nil, null, d.csize)
-		} else {
-			strs := make([]string, 0, cap)
-			for k, ch := range c.chunks {
-				if quotas[k] == 0 {
-					continue
-				}
-				s := ch.sampleBlock(c.Kind, quotas[k], seed)
-				strs = append(strs, s.strs...)
-				null = append(null, s.null...)
-			}
-			nc = newColumn(c.Name, c.Kind, nil, strs, null, d.csize)
+		var nums []float64
+		var strs []string
+		var codes []uint32
+		switch c.Kind {
+		case Numeric:
+			nums = make([]float64, 0, cap)
+		case Categorical:
+			codes = make([]uint32, 0, cap)
+		default:
+			strs = make([]string, 0, cap)
 		}
-		if err := out.addColumn(nc); err != nil {
+		for k, ch := range c.chunks {
+			if quotas[k] == 0 {
+				continue
+			}
+			s := ch.sampleBlock(c.Kind, quotas[k], seed)
+			nums = append(nums, s.nums...)
+			strs = append(strs, s.strs...)
+			codes = append(codes, s.codes...)
+			null = append(null, s.null...)
+		}
+		nc := &Column{Name: c.Name, Kind: c.Kind, rows: len(null), dict: c.shareDict()}
+		if err := out.addColumn(layoutColumn(nc, nums, strs, codes, null, d.csize)); err != nil {
 			panic(err) // cannot happen: schema mirrors a valid dataset
 		}
 	}

@@ -12,7 +12,8 @@ import (
 // columns copy-on-write — and with chunked storage the sharing is per chunk:
 // Column/Columns hand out the shared *Column, Column.Chunk hands out a
 // read-only view whose slices are a chunk's backing storage (shared across
-// every dataset referencing the chunk), and NumericValues/
+// every dataset referencing the chunk, Categorical codes included),
+// Column.Dict hands out the dictionary those codes index, and NumericValues/
 // SortedNumericValues/StringValues/DistinctStrings (plus Stats) hand out
 // slices owned by the shared statistics caches. Mutating any of them writes
 // through every clone and poisons the per-chunk stats and digest caches —
@@ -31,10 +32,12 @@ import (
 // accessor or a parameter and which parameters a function writes through, so
 // taint survives helper indirection — a helper returning d.NumericValues("x")
 // taints its call sites, and passing an accessor slice to a helper that
-// writes through its parameter is itself a finding.
+// writes through its parameter is itself a finding. ChunkView.SetStr on a
+// tainted view is a write too: it stores into the view's cells (interning
+// into the column dictionary), so only MutableChunk views may call it.
 var CowMutate = &analysis.Analyzer{
 	Name: "cowmutate",
-	Doc:  "flags mutation of CoW-shared dataset state obtained from read accessors (Column/Columns/Chunk/Stats/NumericValues/SortedNumericValues/StringValues/DistinctStrings), including through in-package helpers; mutate via MutableColumn + MutableChunk or Set* instead",
+	Doc:  "flags mutation of CoW-shared dataset state obtained from read accessors (Column/Columns/Chunk/Dict/Stats/NumericValues/SortedNumericValues/StringValues/DistinctStrings), including through in-package helpers and ChunkView.SetStr; mutate via MutableColumn + MutableChunk or Set* instead",
 	Run:  runCowMutate,
 }
 
@@ -66,6 +69,7 @@ var taintSources = map[string]string{
 // the sanctioned write path.
 var columnTaintSources = map[string]string{
 	"Chunk":  "Column.Chunk",
+	"Dict":   "Column.Dict",
 	"Stats":  "Column.Stats",
 	"Rollup": "Column.Rollup",
 }
@@ -306,6 +310,12 @@ func cowWalk(pass *analysis.Pass, body *ast.BlockStmt, sums *summarySet, sum *fu
 			if id, ok := ast.Unparen(st.Fun).(*ast.Ident); ok && id.Name == "append" && len(st.Args) > 0 {
 				if _, ok := pass.TypesInfo.Uses[id].(*types.Builtin); ok {
 					handleWrite(st, st.Args[0], "append to")
+				}
+			}
+			// SetStr on a tainted chunk view writes its cells.
+			if f != nil && methodOn(f, datasetPath, "ChunkView", "SetStr") {
+				if sel, ok := ast.Unparen(st.Fun).(*ast.SelectorExpr); ok {
+					handleWrite(st, sel.X, "SetStr on")
 				}
 			}
 			// In-place sorts of a tainted slice.

@@ -169,3 +169,39 @@ func goodSetters(d *dataset.Dataset) {
 	d.SetNum("x", 0, 1)
 	d.SetNull("x", 1)
 }
+
+func badChunkCodesWrite(d *dataset.Dataset) {
+	v := d.Column("c").Chunk(0)
+	v.Codes[0] = 1 // want `dataset\.Column\.Chunk`
+}
+
+func badChunkCodesCopy(d *dataset.Dataset, src []uint32) {
+	copy(d.Column("c").Chunk(0).Codes, src) // want `copy into .* dataset\.Column\.Chunk`
+}
+
+func badMutableColumnChunkCodes(d *dataset.Dataset) {
+	// MutableColumn alone leaves the chunk shared: the codes still alias
+	// every dataset referencing it.
+	c := d.MutableColumn("c")
+	codes := c.Chunk(0).Codes
+	codes[1]++ // want `dataset\.Column\.Chunk`
+}
+
+func badChunkSetStr(d *dataset.Dataset) {
+	v := d.Column("c").Chunk(0)
+	v.SetStr(0, "z") // want `SetStr on v obtained from dataset\.Column\.Chunk`
+}
+
+func badDictWrite(d *dataset.Dataset) {
+	dict := d.Column("c").Dict()
+	dict[0] = "z" // want `dataset\.Column\.Dict`
+}
+
+// goodMutableChunkCodes: codes and interned strings written through a
+// MutableChunk view are the sanctioned path.
+func goodMutableChunkCodes(d *dataset.Dataset) {
+	c := d.MutableColumn("c")
+	w := c.MutableChunk(0)
+	w.Codes[0] = w.Codes[1]
+	w.SetStr(2, "z")
+}

@@ -116,9 +116,22 @@ func (e *Encoder) Encode(d *dataset.Dataset) (X [][]float64, y, rows []int, err 
 	if len(rows) == 0 {
 		return nil, nil, nil, nil
 	}
+	// levelOf[i] maps a Categorical feature column's dictionary codes to
+	// one-hot levels (-1: no level), resolved once per column.
+	levelOf := make([][]int, len(e.specs))
 	for i, s := range e.specs {
 		if s.numeric != (cols[i].Kind == dataset.Numeric) {
 			return nil, nil, nil, fmt.Errorf("ml: attribute %q changed kind", s.attr)
+		}
+		if dict := cols[i].Dict(); dict != nil {
+			levelOf[i] = make([]int, len(dict))
+			for code, v := range dict {
+				if l, ok := s.index[v]; ok {
+					levelOf[i][code] = l
+				} else {
+					levelOf[i][code] = -1
+				}
+			}
 		}
 	}
 	// Every row of X is cut from one backing array.
@@ -134,7 +147,12 @@ func (e *Encoder) Encode(d *dataset.Dataset) (X [][]float64, y, rows []int, err 
 				x[s.offset] = s.mean
 			case s.numeric:
 				x[s.offset] = c.NumAt(r)
-			case !c.NullAt(r):
+			case c.NullAt(r):
+			case levelOf[i] != nil:
+				if l := levelOf[i][c.CodeAt(r)]; l >= 0 {
+					x[s.offset+l] = 1
+				}
+			default:
 				if l, ok := s.index[c.StrAt(r)]; ok {
 					x[s.offset+l] = 1
 				}

@@ -106,8 +106,11 @@ type Pattern struct {
 }
 
 // tokenize splits s into maximal same-class runs.
-func tokenize(s string) []Run {
-	var runs []Run
+func tokenize(s string) []Run { return tokenizeInto(nil, s) }
+
+// tokenizeInto is tokenize appending the runs to buf.
+func tokenizeInto(buf []Run, s string) []Run {
+	runs := buf
 	var cur *Run
 	for _, r := range s {
 		c := classOf(r)
@@ -135,7 +138,10 @@ func Learn(examples []string) *Pattern {
 	}
 	p.MinLen = len([]rune(examples[0]))
 	p.MaxLen = p.MinLen
-	var shared []Run
+	// Every example tokenizes into one reused run buffer, and the classes
+	// seen collect in an array until the end.
+	var seen [Punct + 1]bool
+	var shared, runs []Run
 	structured := true
 	for i, ex := range examples {
 		n := len([]rune(ex))
@@ -145,15 +151,18 @@ func Learn(examples []string) *Pattern {
 		if n > p.MaxLen {
 			p.MaxLen = n
 		}
-		runs := tokenize(ex)
-		for _, r := range runs {
-			p.Classes[r.Class] = true
-		}
-		if i == 0 {
-			shared = runs
+		if !structured {
+			for _, r := range ex {
+				seen[classOf(r)] = true
+			}
 			continue
 		}
-		if !structured {
+		runs = tokenizeInto(runs[:0], ex)
+		for _, r := range runs {
+			seen[r.Class] = true
+		}
+		if i == 0 {
+			shared = append([]Run(nil), runs...)
 			continue
 		}
 		if len(runs) != len(shared) {
@@ -174,6 +183,11 @@ func Learn(examples []string) *Pattern {
 			if runs[j].Literal != shared[j].Literal {
 				shared[j].Literal = 0
 			}
+		}
+	}
+	for c, ok := range seen {
+		if ok {
+			p.Classes[Class(c)] = true
 		}
 	}
 	p.Structured = structured

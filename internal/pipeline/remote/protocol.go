@@ -133,10 +133,12 @@ func readFrame(r io.Reader) ([]byte, error) {
 
 // colPlan is one column's encoding plan from the sizing pass.
 type colPlan struct {
-	col   *dataset.Column
-	size  int               // encoded bytes, column header included
-	dict  []string          // categorical only: first-appearance order
-	codes map[string]uint32 // categorical only: dict entry -> its index
+	col  *dataset.Column
+	size int      // encoded bytes, column header included
+	dict []string // categorical only: the wire dictionary, first-appearance order
+	// wire maps a categorical column's dictionary codes to wire codes plus
+	// one; 0 marks an entry no non-NULL cell uses.
+	wire []uint32
 }
 
 // codeWidth is the byte width of a categorical code for a dictionary of
@@ -151,27 +153,27 @@ func codeWidth(ndict int) int {
 	return 4
 }
 
-// planColumn sizes one column's encoding, building the dictionary of a
-// categorical column.
+// planColumn sizes one column's encoding, building the wire dictionary of
+// a categorical column: the column dictionary's entries in use, renumbered
+// in the order their codes first appear.
 func planColumn(c *dataset.Column, rows int) colPlan {
 	p := colPlan{col: c, size: 1 + 2 + len(c.Name) + (rows+7)/8}
 	switch c.Kind {
 	case dataset.Numeric:
 		p.size += 8 * rows
 	case dataset.Categorical:
-		p.codes = make(map[string]uint32)
+		dict := c.Dict()
+		p.wire = make([]uint32, len(dict))
 		dictBytes := 0
 		for k := 0; k < c.NumChunks(); k++ {
 			v := c.Chunk(k)
-			for i, s := range v.Strs {
-				if v.Null[i] {
+			for i, code := range v.Codes {
+				if p.wire[code] != 0 || v.Null[i] {
 					continue
 				}
-				if _, ok := p.codes[s]; !ok {
-					p.codes[s] = uint32(len(p.dict))
-					p.dict = append(p.dict, s)
-					dictBytes += len(s)
-				}
+				p.dict = append(p.dict, dict[code])
+				p.wire[code] = uint32(len(p.dict))
+				dictBytes += len(dict[code])
 			}
 		}
 		n := len(p.dict)
@@ -282,11 +284,11 @@ func (p *colPlan) write(buf []byte, off, rows int) int {
 		codes := buf[off : off+width*rows]
 		for k := 0; k < c.NumChunks(); k++ {
 			v := c.Chunk(k)
-			for i, s := range v.Strs {
+			for i, c := range v.Codes {
 				if v.Null[i] {
 					continue
 				}
-				code, r := p.codes[s], v.Start+i
+				code, r := p.wire[c]-1, v.Start+i
 				switch width {
 				case 1:
 					codes[r] = byte(code)
@@ -331,7 +333,7 @@ func (r *frameReader) take(n uint64) ([]byte, error) {
 // decodeRequest rebuilds the dataset a score request carries and returns
 // it with the fingerprint from the header. The columns decode straight into
 // the slices the dataset adopts: numeric cells from their bits, categorical
-// strings shared from the column's dictionary, and text strings as
+// cells as the frame's dictionary and codes, and text strings as
 // substrings of one blob, so no cell allocates. Every malformed or
 // non-canonical payload is an error wrapping errProtocol. The header
 // fingerprint is not recomputed — hashing every cell would cost more than
@@ -399,11 +401,11 @@ func decodeColumn(r *frameReader, d *dataset.Dataset, rows uint64) error {
 		}
 		return wrapProtocol(d.AddNumericColumn(string(name), nums, null))
 	case dataset.Categorical:
-		strs, err := decodeDictionary(r, null, name)
+		dict, codes, err := decodeDictionary(r, null, name)
 		if err != nil {
 			return err
 		}
-		return wrapProtocol(d.AddCategoricalColumn(string(name), strs, null))
+		return wrapProtocol(d.AddCategoricalCodes(string(name), dict, codes, null))
 	case dataset.Text:
 		strs, err := decodeText(r, null, name)
 		if err != nil {
@@ -414,16 +416,19 @@ func decodeColumn(r *frameReader, d *dataset.Dataset, rows uint64) error {
 	return fmt.Errorf("%w: column %q: unknown kind %d", errProtocol, name, kind)
 }
 
-// decodeDictionary reads a dictionary-coded categorical body.
-func decodeDictionary(r *frameReader, null []bool, name []byte) ([]string, error) {
+// decodeDictionary reads a dictionary-coded categorical body and returns
+// the dictionary and the cells' codes. Duplicate entries are left for
+// Dataset.AddCategoricalCodes to reject. An all-NULL column's empty
+// dictionary gains one "" entry for its NULL cells' code 0 to index.
+func decodeDictionary(r *frameReader, null []bool, name []byte) ([]string, []uint32, error) {
 	hdr, err := r.take(4)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	ndict := binary.BigEndian.Uint32(hdr)
 	lens, err := r.take(4 * uint64(ndict))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	total := uint64(0)
 	for i := 0; i < len(lens); i += 4 {
@@ -431,54 +436,52 @@ func decodeDictionary(r *frameReader, null []bool, name []byte) ([]string, error
 	}
 	blob, err := r.take(total)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	all := string(blob)
 	dict := make([]string, ndict)
-	seen := make(map[string]struct{}, ndict)
 	for i := range dict {
 		n := int(binary.BigEndian.Uint32(lens[4*i:]))
 		dict[i], all = all[:n], all[n:]
-		if _, dup := seen[dict[i]]; dup {
-			return nil, fmt.Errorf("%w: column %q: duplicate dictionary entry %q", errProtocol, name, dict[i])
-		}
-		seen[dict[i]] = struct{}{}
 	}
 
 	width := codeWidth(int(ndict))
-	codes, err := r.take(uint64(width) * uint64(len(null)))
+	wire, err := r.take(uint64(width) * uint64(len(null)))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	strs := make([]string, len(null))
+	codes := make([]uint32, len(null))
 	next := uint32(0) // codes must first appear in dictionary order
-	for i := range strs {
+	for i := range codes {
 		var code uint32
 		switch width {
 		case 1:
-			code = uint32(codes[i])
+			code = uint32(wire[i])
 		case 2:
-			code = uint32(binary.BigEndian.Uint16(codes[2*i:]))
+			code = uint32(binary.BigEndian.Uint16(wire[2*i:]))
 		default:
-			code = binary.BigEndian.Uint32(codes[4*i:])
+			code = binary.BigEndian.Uint32(wire[4*i:])
 		}
 		switch {
 		case null[i]:
 			if code != 0 {
-				return nil, fmt.Errorf("%w: column %q row %d: NULL cell carries a code", errProtocol, name, i)
+				return nil, nil, fmt.Errorf("%w: column %q row %d: NULL cell carries a code", errProtocol, name, i)
 			}
 			continue
 		case code > next || code >= ndict:
-			return nil, fmt.Errorf("%w: column %q row %d: code %d out of dictionary order", errProtocol, name, i, code)
+			return nil, nil, fmt.Errorf("%w: column %q row %d: code %d out of dictionary order", errProtocol, name, i, code)
 		case code == next:
 			next++
 		}
-		strs[i] = dict[code]
+		codes[i] = code
 	}
 	if next != ndict {
-		return nil, fmt.Errorf("%w: column %q: %d of %d dictionary entries unused", errProtocol, name, ndict-next, ndict)
+		return nil, nil, fmt.Errorf("%w: column %q: %d of %d dictionary entries unused", errProtocol, name, ndict-next, ndict)
 	}
-	return strs, nil
+	if ndict == 0 && len(null) > 0 {
+		dict = []string{""}
+	}
+	return dict, codes, nil
 }
 
 // decodeText reads a text body: a lengths array, then one blob whose

@@ -23,8 +23,8 @@ func refChiStatistic(d *dataset.Dataset, a, b string) (float64, bool) {
 		va, vb := ca.Chunk(k), cb.Chunk(k)
 		for i := range va.Null {
 			if !va.Null[i] && !vb.Null[i] {
-				xs = append(xs, va.Strs[i])
-				ys = append(ys, vb.Strs[i])
+				xs = append(xs, va.Str(i))
+				ys = append(ys, vb.Str(i))
 			}
 		}
 	}

@@ -143,9 +143,13 @@ func warmChunks(d *dataset.Dataset, opts Options) {
 	})
 	// Roll the warmed partials up into the column-level caches so the
 	// discoverers' Rollup()/Digest() calls are pure merges. Rollup, unlike
-	// the deprecated Stats, never materializes row-length vectors.
+	// the deprecated Stats, never materializes row-length vectors. A Text
+	// column's roll-up is left to the discoverers that ask for its domain:
+	// the domain-size gates probe it with DistinctCapped instead.
 	engine.ParallelFor(workers, len(cols), func(i int) {
-		cols[i].Rollup()
+		if cols[i].Kind != dataset.Text {
+			cols[i].Rollup()
+		}
 		cols[i].Digest()
 	})
 	if sampling {
@@ -213,8 +217,10 @@ func discoverSelectivity(d *dataset.Dataset, opts Options) []Profile {
 		}
 	}
 	// Enumerate the predicates first (respecting the cap in deterministic
-	// order), then estimate their selectivities in parallel: each estimate
-	// is an independent column scan.
+	// order), then estimate their selectivities from counts: a single
+	// clause's match count is its value's roll-up count, and a pair's is a
+	// cell of its attribute pair's contingency table, so the rows are
+	// scanned once per attribute pair rather than once per predicate.
 	var preds []dataset.Predicate
 	add := func(pred dataset.Predicate) bool {
 		if len(preds) >= opts.MaxSelectivityProfiles {
@@ -250,11 +256,69 @@ func discoverSelectivity(d *dataset.Dataset, opts Options) []Profile {
 	// Fit on the sample view when sampling is active: each estimated Theta
 	// is a mean of [0,1] indicators, so the Hoeffding bound applies as-is.
 	sd, bound := opts.sampleFit(d)
+	counts := equalityCounts(sd, preds, opts.workers())
 	out := make([]Profile, len(preds))
-	engine.ParallelFor(opts.workers(), len(preds), func(i int) {
-		out[i] = &Selectivity{Pred: preds[i], Theta: preds[i].Selectivity(sd), Fit: bound}
-	})
+	for i, pred := range preds {
+		theta := 0.0
+		if sd.NumRows() > 0 {
+			// The same quotient Predicate.Selectivity returns.
+			theta = float64(counts[i]) / float64(sd.NumRows())
+		}
+		out[i] = &Selectivity{Pred: pred, Theta: theta, Fit: bound}
+	}
 	return out
+}
+
+// equalityCounts returns how many rows of d match each predicate, every
+// one a conjunction of one or two string equalities on distinct string
+// attributes: a count from the attribute's roll-up, or from the pair's
+// contingency table, the tables built in parallel.
+func equalityCounts(d *dataset.Dataset, preds []dataset.Predicate, workers int) []int {
+	type attrPair struct{ a, b string }
+	type pairCounts struct {
+		table            [][]float64
+		aLevels, bLevels []string
+	}
+	var pairs []attrPair
+	index := map[attrPair]int{}
+	for _, p := range preds {
+		if len(p.Clauses) == 2 {
+			k := attrPair{p.Clauses[0].Attr, p.Clauses[1].Attr}
+			if _, ok := index[k]; !ok {
+				index[k] = len(pairs)
+				pairs = append(pairs, k)
+			}
+		}
+	}
+	tables := make([]pairCounts, len(pairs))
+	engine.ParallelFor(workers, len(pairs), func(i int) {
+		t := &tables[i]
+		t.table, t.aLevels, t.bLevels = pairTable(d.Column(pairs[i].a), d.Column(pairs[i].b))
+	})
+	counts := make([]int, len(preds))
+	for i, p := range preds {
+		c := p.Clauses
+		if len(c) == 1 {
+			r := d.Rollup(c[0].Attr)
+			if j, ok := levelIndex(r.Distinct, c[0].StrVal); ok {
+				counts[i] = r.Counts[j]
+			}
+			continue
+		}
+		t := tables[index[attrPair{c[0].Attr, c[1].Attr}]]
+		x, okA := levelIndex(t.aLevels, c[0].StrVal)
+		y, okB := levelIndex(t.bLevels, c[1].StrVal)
+		if okA && okB {
+			counts[i] = int(t.table[x][y])
+		}
+	}
+	return counts
+}
+
+// levelIndex finds v in the sorted levels.
+func levelIndex(levels []string, v string) (int, bool) {
+	j := sort.SearchStrings(levels, v)
+	return j, j < len(levels) && levels[j] == v
 }
 
 // DiscriminativeFrom filters a pinned profile set — typically decoded from

@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -218,5 +219,42 @@ func TestDiscoverConditionalFlag(t *testing.T) {
 	}
 	if !foundConditional {
 		t.Error("conditional-only shift not caught by conditional profiles")
+	}
+}
+
+// TestSelectivityThetaMatchesScan: discovery estimates a Selectivity
+// profile's θ from roll-up counts and pair tables; it must equal, to the
+// bit, the predicate's own row scan on the dataset it was fitted on — with
+// NULLs in the attributes, several chunks, and on a sample view.
+func TestSelectivityThetaMatchesScan(t *testing.T) {
+	const n = 3000
+	rng := rand.New(rand.NewSource(5))
+	d := dataset.NewChunked(700)
+	cols := map[string][]string{"color": {"black", "white", "red"}, "light": {"low", "high"}, "pass": {"yes", "no", "maybe", "n/a"}}
+	for _, name := range []string{"color", "light", "pass"} {
+		vals, null := make([]string, n), make([]bool, n)
+		for i := range vals {
+			vals[i] = cols[name][rng.Intn(len(cols[name]))]
+			null[i] = rng.Intn(9) == 0
+		}
+		if err := d.AddCategoricalColumn(name, vals, null); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, sample := range []int{0, 1000} {
+		opts := DefaultOptions()
+		opts.Sample = SampleOptions{Cap: sample, Seed: 3}
+		sd, _ := opts.sampleFit(d)
+		got := 0
+		for _, p := range discoverSelectivity(d, opts) {
+			s := p.(*Selectivity)
+			if want := s.Pred.Selectivity(sd); s.Theta != want {
+				t.Errorf("sample %d: %s: θ = %v, scan gives %v", sample, s.Pred, s.Theta, want)
+			}
+			got++
+		}
+		if got != 9+3*2+3*4+2*4 {
+			t.Errorf("sample %d: %d Selectivity profiles, want %d", sample, got, 9+3*2+3*4+2*4)
+		}
 	}
 }

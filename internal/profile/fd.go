@@ -45,37 +45,20 @@ func (p *FuncDep) G3(d *dataset.Dataset) float64 {
 	if det == nil || dep == nil || det.Kind == dataset.Numeric || dep.Kind == dataset.Numeric {
 		return 0
 	}
-	groups := make(map[string]map[string]int)
-	total := 0
-	for k := 0; k < det.NumChunks(); k++ {
-		dv, pv := det.Chunk(k), dep.Chunk(k)
-		for i := range dv.Null {
-			if dv.Null[i] || pv.Null[i] {
-				continue
-			}
-			g := groups[dv.Strs[i]]
-			if g == nil {
-				g = make(map[string]int)
-				groups[dv.Strs[i]] = g
-			}
-			g[pv.Strs[i]]++
-			total++
+	table, _, _ := pairTable(det, dep)
+	total, kept := 0.0, 0.0
+	for _, g := range table {
+		best := 0.0
+		for _, n := range g {
+			total += n
+			best = math.Max(best, n)
 		}
+		kept += best
 	}
 	if total == 0 {
 		return 0
 	}
-	kept := 0
-	for _, g := range groups {
-		best := 0
-		for _, n := range g {
-			if n > best {
-				best = n
-			}
-		}
-		kept += best
-	}
-	return 1 - float64(kept)/float64(total)
+	return 1 - kept/total
 }
 
 // Violation implements Profile: max(0, (g3 − ε)/(1 − ε)).
@@ -104,29 +87,17 @@ func (p *FuncDep) MajorityValue(d *dataset.Dataset) map[string]string {
 	if det == nil || dep == nil || det.Kind == dataset.Numeric || dep.Kind == dataset.Numeric {
 		return out
 	}
-	counts := make(map[string]map[string]int)
-	for k := 0; k < det.NumChunks(); k++ {
-		dv, pv := det.Chunk(k), dep.Chunk(k)
-		for i := range dv.Null {
-			if dv.Null[i] || pv.Null[i] {
-				continue
-			}
-			g := counts[dv.Strs[i]]
-			if g == nil {
-				g = make(map[string]int)
-				counts[dv.Strs[i]] = g
-			}
-			g[pv.Strs[i]]++
-		}
-	}
-	for k, g := range counts {
-		best, bestN := "", -1
-		for v, n := range g {
-			if n > bestN || (n == bestN && v < best) {
-				best, bestN = v, n
+	// The dependent levels are sorted, so the first largest count in a row
+	// breaks ties toward the smaller value.
+	table, detLevels, depLevels := pairTable(det, dep)
+	for x, g := range table {
+		best := 0
+		for y, n := range g {
+			if n > g[best] {
+				best = y
 			}
 		}
-		out[k] = best
+		out[detLevels[x]] = depLevels[best]
 	}
 	return out
 }
@@ -146,14 +117,14 @@ func discoverFDs(d *dataset.Dataset, opts Options) []Profile {
 		if cols[i].Kind != dataset.Categorical {
 			continue
 		}
-		if n := len(d.DistinctStrings(cols[i].Name)); n == 0 || n > opts.MaxCategoricalDomain {
+		if n := d.DistinctCapped(cols[i].Name, opts.MaxCategoricalDomain); n == 0 || n > opts.MaxCategoricalDomain {
 			continue
 		}
 		for j := range cols {
 			if i == j || cols[j].Kind != dataset.Categorical {
 				continue
 			}
-			if n := len(d.DistinctStrings(cols[j].Name)); n == 0 || n > opts.MaxCategoricalDomain {
+			if n := d.DistinctCapped(cols[j].Name, opts.MaxCategoricalDomain); n == 0 || n > opts.MaxCategoricalDomain {
 				continue
 			}
 			p := &FuncDep{Det: cols[i].Name, Dep: cols[j].Name, Fit: bound}

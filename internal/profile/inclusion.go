@@ -49,15 +49,7 @@ func (p *Inclusion) Violation(d *dataset.Dataset) float64 {
 	for _, v := range parent.Rollup().Distinct {
 		parentVals[v] = true
 	}
-	bad := 0
-	for k := 0; k < child.NumChunks(); k++ {
-		v := child.Chunk(k)
-		for i := range v.Null {
-			if !v.Null[i] && !parentVals[v.Strs[i]] {
-				bad++
-			}
-		}
-	}
+	bad := child.CountStrs(func(s string) bool { return !parentVals[s] })
 	return float64(bad) / float64(d.NumRows())
 }
 
@@ -86,13 +78,10 @@ func discoverInclusions(d *dataset.Dataset, opts Options) []Profile {
 	cols := d.Columns()
 	domains := make(map[string]map[string]bool)
 	for _, c := range cols {
-		if c.Kind == dataset.Numeric {
+		if n := d.DistinctCapped(c.Name, opts.MaxCategoricalDomain); n == 0 || n > opts.MaxCategoricalDomain {
 			continue
 		}
 		vals := d.DistinctStrings(c.Name)
-		if len(vals) == 0 || len(vals) > opts.MaxCategoricalDomain {
-			continue
-		}
 		set := make(map[string]bool, len(vals))
 		for _, v := range vals {
 			set[v] = true

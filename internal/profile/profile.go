@@ -67,15 +67,7 @@ func (p *DomainCategorical) Violation(d *dataset.Dataset) float64 {
 	if c == nil || c.Kind == dataset.Numeric || d.NumRows() == 0 {
 		return 0
 	}
-	bad := 0
-	for k := 0; k < c.NumChunks(); k++ {
-		v := c.Chunk(k)
-		for i := range v.Null {
-			if !v.Null[i] && !p.Values[v.Strs[i]] {
-				bad++
-			}
-		}
-	}
+	bad := c.CountStrs(func(s string) bool { return !p.Values[s] })
 	return float64(bad) / float64(d.NumRows())
 }
 
@@ -178,15 +170,7 @@ func (p *DomainText) Violation(d *dataset.Dataset) float64 {
 	if c == nil || c.Kind == dataset.Numeric || d.NumRows() == 0 {
 		return 0
 	}
-	bad := 0
-	for k := 0; k < c.NumChunks(); k++ {
-		v := c.Chunk(k)
-		for i := range v.Null {
-			if !v.Null[i] && !p.Pattern.Matches(v.Strs[i]) {
-				bad++
-			}
-		}
-	}
+	bad := c.CountStrs(func(s string) bool { return !p.Pattern.Matches(s) })
 	return float64(bad) / float64(d.NumRows())
 }
 
@@ -438,20 +422,72 @@ func contingency(d *dataset.Dataset, a, b string) [][]float64 {
 	if ca == nil || cb == nil || ca.Kind == dataset.Numeric || cb.Kind == dataset.Numeric {
 		return nil
 	}
-	var c stats.Contingency
-	for k := 0; k < ca.NumChunks(); k++ {
-		va, vb := ca.Chunk(k), cb.Chunk(k)
-		for i := range va.Null {
-			if !va.Null[i] && !vb.Null[i] {
-				c.Add(va.Strs[i], vb.Strs[i])
-			}
-		}
-	}
-	table, _, _ := c.Table()
+	table, _, _ := pairTable(ca, cb)
 	if len(table) == 0 {
 		return nil
 	}
 	return table
+}
+
+// pairTable counts the (a, b) value pairs of two string columns over the
+// rows where both are non-NULL, with both level orders sorted
+// (stats.Contingency's table). Two Categorical columns count code pairs,
+// resolving each dictionary entry to its level once; any other pair counts
+// the strings.
+func pairTable(ca, cb *dataset.Column) (table [][]float64, aLevels, bLevels []string) {
+	if ca.Kind != dataset.Categorical || cb.Kind != dataset.Categorical {
+		var c stats.Contingency
+		for k := 0; k < ca.NumChunks(); k++ {
+			va, vb := ca.Chunk(k), cb.Chunk(k)
+			for i := range va.Null {
+				if !va.Null[i] && !vb.Null[i] {
+					c.Add(va.Str(i), vb.Str(i))
+				}
+			}
+		}
+		return c.Table()
+	}
+	la, lb := newCodeLevels(ca.Dict()), newCodeLevels(cb.Dict())
+	var counts [][]float64 // [a level][b level], first-appearance order
+	for k := 0; k < ca.NumChunks(); k++ {
+		va, vb := ca.Chunk(k), cb.Chunk(k)
+		for i := range va.Null {
+			if va.Null[i] || vb.Null[i] {
+				continue
+			}
+			x, y := la.of(va.Codes[i]), lb.of(vb.Codes[i])
+			if x == len(counts) {
+				counts = append(counts, nil)
+			}
+			if row := counts[x]; y >= len(row) {
+				counts[x] = append(row, make([]float64, len(lb.levels)-len(row))...)
+			}
+			counts[x][y]++
+		}
+	}
+	return stats.SortedTable(counts, la.levels, lb.levels)
+}
+
+// codeLevels numbers the entries of one dictionary in the order their codes
+// first appear.
+type codeLevels struct {
+	dict   []string
+	index  []int    // code -> level + 1; 0 = not seen yet
+	levels []string // level -> entry
+}
+
+func newCodeLevels(dict []string) *codeLevels {
+	return &codeLevels{dict: dict, index: make([]int, len(dict))}
+}
+
+// of returns the level of code, numbering it if it is new.
+func (l *codeLevels) of(code uint32) int {
+	if x := l.index[code]; x > 0 {
+		return x - 1
+	}
+	l.levels = append(l.levels, l.dict[code])
+	l.index[code] = len(l.levels)
+	return len(l.levels) - 1
 }
 
 // ---------------------------------------------------------------------------

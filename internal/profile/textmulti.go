@@ -32,15 +32,7 @@ func (p *DomainTextMulti) Violation(d *dataset.Dataset) float64 {
 	if c == nil || c.Kind == dataset.Numeric || d.NumRows() == 0 {
 		return 0
 	}
-	bad := 0
-	for k := 0; k < c.NumChunks(); k++ {
-		v := c.Chunk(k)
-		for i := range v.Null {
-			if !v.Null[i] && !p.Alt.Matches(v.Strs[i]) {
-				bad++
-			}
-		}
-	}
+	bad := c.CountStrs(func(s string) bool { return !p.Alt.Matches(s) })
 	return float64(bad) / float64(d.NumRows())
 }
 

@@ -46,6 +46,11 @@ func (p *Unique) DuplicateFraction(d *dataset.Dataset) float64 {
 	if c == nil || d.NumRows() == 0 {
 		return 0
 	}
+	if c.Kind == dataset.Categorical {
+		// Every non-NULL cell but each value's first is a duplicate.
+		r := c.Rollup()
+		return float64(r.Rows-r.Nulls-len(r.Distinct)) / float64(d.NumRows())
+	}
 	seen := make(map[string]bool, d.NumRows())
 	dups := 0
 	for k := 0; k < c.NumChunks(); k++ {
@@ -58,7 +63,7 @@ func (p *Unique) DuplicateFraction(d *dataset.Dataset) float64 {
 			if c.Kind == dataset.Numeric {
 				key = strconv.FormatFloat(v.Nums[i], 'g', -1, 64)
 			} else {
-				key = v.Strs[i]
+				key = v.Str(i)
 			}
 			if seen[key] {
 				dups++

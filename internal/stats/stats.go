@@ -271,13 +271,30 @@ func (c *Contingency) Add(a, b string) {
 
 // Table returns the joint counts with both level orders sorted.
 func (c *Contingency) Table() (table [][]float64, aLevels, bLevels []string) {
-	aLevels, ar := sortedLevels(c.ai)
-	bLevels, br := sortedLevels(c.bi)
+	return SortedTable(c.counts, firstAppearance(c.ai), firstAppearance(c.bi))
+}
+
+// firstAppearance lists the levels by their first-appearance codes.
+func firstAppearance(codes map[string]int) []string {
+	levels := make([]string, len(codes))
+	for l, code := range codes {
+		levels[code] = l
+	}
+	return levels
+}
+
+// SortedTable reorders joint counts kept in first-appearance level order —
+// counts[x][y] for a level aFirst[x] and b level bFirst[y], rows possibly
+// shorter than bFirst — into a full table with both level orders sorted.
+// The levels of each side must be distinct.
+func SortedTable(counts [][]float64, aFirst, bFirst []string) (table [][]float64, aLevels, bLevels []string) {
+	aLevels, ar := sortedLevels(aFirst)
+	bLevels, br := sortedLevels(bFirst)
 	table = make([][]float64, len(aLevels))
 	for i := range table {
 		table[i] = make([]float64, len(bLevels))
 	}
-	for x, row := range c.counts {
+	for x, row := range counts {
 		for y, n := range row {
 			table[ar[x]][br[y]] = n
 		}
@@ -287,15 +304,17 @@ func (c *Contingency) Table() (table [][]float64, aLevels, bLevels []string) {
 
 // sortedLevels returns the levels in sorted order, and the rank of each
 // first-appearance code in that order.
-func sortedLevels(codes map[string]int) (levels []string, ranks []int) {
-	levels = make([]string, 0, len(codes))
-	for l := range codes {
-		levels = append(levels, l)
+func sortedLevels(first []string) (levels []string, ranks []int) {
+	order := make([]int, len(first))
+	for i := range order {
+		order[i] = i
 	}
-	sort.Strings(levels)
-	ranks = make([]int, len(levels))
-	for r, l := range levels {
-		ranks[codes[l]] = r
+	sort.Slice(order, func(i, j int) bool { return first[order[i]] < first[order[j]] })
+	levels = make([]string, len(first))
+	ranks = make([]int, len(first))
+	for r, code := range order {
+		levels[r] = first[code]
+		ranks[code] = r
 	}
 	return levels, ranks
 }

@@ -89,11 +89,11 @@ func (t *FDRepair) Apply(d *dataset.Dataset, _ *rand.Rand) (*dataset.Dataset, er
 			if dv.Null[i] || pv.Null[i] {
 				continue
 			}
-			if m, ok := majority[dv.Strs[i]]; ok && m != pv.Strs[i] {
+			if m, ok := majority[dv.Str(i)]; ok && m != pv.Str(i) {
 				if w.Null == nil {
 					w = odep.MutableChunk(k) // copy/dirty only chunks that change
 				}
-				w.Strs[i] = m
+				w.SetStr(i, m)
 			}
 		}
 	}
@@ -128,21 +128,12 @@ func (t *ConformTextMulti) Apply(d *dataset.Dataset, _ *rand.Rand) (*dataset.Dat
 	if c == nil || c.Kind == dataset.Numeric {
 		return nil, fmt.Errorf("transform: no text column %q", t.Profile.Attr)
 	}
-	for k := 0; k < c.NumChunks(); k++ {
-		v := c.Chunk(k)
-		var w dataset.ChunkView
-		for i := range v.Strs {
-			if v.Null[i] {
-				continue
-			}
-			if !t.Profile.Alt.Matches(v.Strs[i]) {
-				if w.Null == nil {
-					w = c.MutableChunk(k) // copy/dirty only chunks that change
-				}
-				w.Strs[i] = t.Profile.Alt.Conform(v.Strs[i])
-			}
+	c.ReplaceStrs(func(s string) (string, bool) {
+		if t.Profile.Alt.Matches(s) {
+			return "", false
 		}
-	}
+		return t.Profile.Alt.Conform(s), true
+	})
 	return out, nil
 }
 

@@ -59,6 +59,21 @@ func permuteColumn(c *dataset.Column, perm []int) {
 		}
 		return
 	}
+	if c.Kind == dataset.Categorical {
+		// Codes move within one column, so they keep indexing its
+		// dictionary.
+		codes := make([]uint32, len(perm))
+		for i, p := range perm {
+			codes[i] = c.CodeAt(p)
+			null[i] = c.NullAt(p)
+		}
+		for k := 0; k < c.NumChunks(); k++ {
+			w := c.MutableChunk(k)
+			copy(w.Codes, codes[w.Start:])
+			copy(w.Null, null[w.Start:])
+		}
+		return
+	}
 	vals := make([]string, len(perm))
 	for i, p := range perm {
 		vals[i] = c.StrAt(p)
@@ -270,7 +285,7 @@ func (t *ConditionalTransform) Apply(d *dataset.Dataset, rng *rand.Rand) (*datas
 			if src.Kind == dataset.Numeric {
 				w.Nums[off] = src.NumAt(j)
 			} else {
-				w.Strs[off] = src.StrAt(j)
+				w.SetStr(off, src.StrAt(j))
 			}
 		}
 	}

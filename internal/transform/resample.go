@@ -32,7 +32,7 @@ func (t *Resample) Modifies() []string { return t.Profile.Pred.Attributes() }
 // (round-robin) until their share equals θ. It materializes Select's
 // selection.
 func (t *Resample) Apply(d *dataset.Dataset, rng *rand.Rand) (*dataset.Dataset, error) {
-	rows, err := t.Select(d, nil, rng)
+	rows, err := t.Select(d, nil, rng, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -42,22 +42,67 @@ func (t *Resample) Apply(d *dataset.Dataset, rng *rand.Rand) (*dataset.Dataset, 
 	return d.SelectRows(rows), nil
 }
 
+// SelectScratch is scratch space Select reuses from call to call, so a
+// composition of resamples allocates its masks once rather than once per
+// resample, and alternates between two selection buffers. The zero value
+// is ready to use; a SelectScratch must not be shared between goroutines.
+type SelectScratch struct {
+	rowMask []bool // the predicate over every row of d
+	posMask []bool // the predicate over the selection's positions
+	match   []int  // the matching positions
+	spare   []int  // a selection no caller holds any more
+}
+
+// indexBuf returns an empty selection with room for n rows: the spare
+// buffer when it is large enough, else a new one.
+func (s *SelectScratch) indexBuf(n int) []int {
+	if s.spare != nil && cap(s.spare) >= n {
+		b := s.spare[:0]
+		s.spare = nil
+		return b
+	}
+	return make([]int, 0, n)
+}
+
 // Select is Apply in index form, so that consecutive resamples compose
 // without materializing the datasets in between. rows is the selection of
 // d's rows that the resample acts on, in order (nil = every row); the result
 // is the resampled selection as indices into d, with nil again meaning every
-// row. Select(d, rows, rng) followed by SelectRows gives the same dataset,
-// and draws the same randomness, as Apply on d.SelectRows(rows).
-func (t *Resample) Select(d *dataset.Dataset, rows []int, rng *rand.Rand) ([]int, error) {
+// row. Select(d, rows, rng, s) followed by SelectRows gives the same
+// dataset, and draws the same randomness, as Apply on d.SelectRows(rows).
+// s may be nil. When Select returns a selection other than rows, it keeps
+// rows in s to build a later result in, so the caller must drop rows then.
+func (t *Resample) Select(d *dataset.Dataset, rows []int, rng *rand.Rand, s *SelectScratch) ([]int, error) {
+	if s == nil {
+		s = new(SelectScratch)
+	}
+	out, kept, err := t.selectInto(d, rows, rng, s)
+	if err != nil {
+		return nil, err
+	}
+	if kept {
+		return rows, nil
+	}
+	if rows != nil {
+		s.spare = rows
+	}
+	return out, nil
+}
+
+// selectInto is Select; kept reports a selection left as rows.
+func (t *Resample) selectInto(d *dataset.Dataset, rows []int, rng *rand.Rand, s *SelectScratch) ([]int, bool, error) {
 	// mask and every position below index the selection; rowOf maps a
 	// position back to its row of d.
-	mask := t.Profile.Pred.Mask(d, nil)
+	s.rowMask = t.Profile.Pred.Mask(d, s.rowMask)
+	mask := s.rowMask
 	if rows != nil {
-		sel := make([]bool, len(rows))
-		for j, r := range rows {
-			sel[j] = mask[r]
+		if cap(s.posMask) < len(rows) {
+			s.posMask = make([]bool, len(rows))
 		}
-		mask = sel
+		mask = s.posMask[:len(rows)]
+		for j, r := range rows {
+			mask[j] = s.rowMask[r]
+		}
 	}
 	rowOf := func(j int) int {
 		if rows == nil {
@@ -65,19 +110,21 @@ func (t *Resample) Select(d *dataset.Dataset, rows []int, rng *rand.Rand) ([]int
 		}
 		return rows[j]
 	}
-	m := 0
+	m, n := 0, len(mask)
 	for _, ok := range mask {
 		if ok {
 			m++
 		}
 	}
-	match := make([]int, 0, m)
+	if cap(s.match) < m {
+		s.match = make([]int, 0, m)
+	}
+	match := s.match[:0]
 	for j, ok := range mask {
 		if ok {
 			match = append(match, j)
 		}
 	}
-	n := len(mask)
 	nonMatch := n - m
 	theta := t.Profile.Theta
 	cur := 0.0
@@ -86,28 +133,28 @@ func (t *Resample) Select(d *dataset.Dataset, rows []int, rng *rand.Rand) ([]int
 	}
 	switch {
 	case n == 0 || math.Abs(cur-theta) < 1e-12:
-		return rows, nil
+		return nil, true, nil
 	case theta >= 1:
 		if m == 0 {
-			return nil, fmt.Errorf("transform: cannot reach selectivity 1 for %s with no matching tuples", t.Profile.Pred)
+			return nil, false, fmt.Errorf("transform: cannot reach selectivity 1 for %s with no matching tuples", t.Profile.Pred)
 		}
-		out := make([]int, m)
-		for i, j := range match {
-			out[i] = rowOf(j)
+		out := s.indexBuf(m)
+		for _, j := range match {
+			out = append(out, rowOf(j))
 		}
-		return out, nil
+		return out, false, nil
 	case theta <= 0:
-		out := make([]int, 0, nonMatch)
+		out := s.indexBuf(nonMatch)
 		for j, ok := range mask {
 			if !ok {
 				out = append(out, rowOf(j))
 			}
 		}
-		return out, nil
+		return out, false, nil
 	case cur > theta:
 		// Under-sample matches: keep k with k/(k+nonMatch) = θ.
 		if nonMatch == 0 {
-			return nil, fmt.Errorf("transform: cannot lower selectivity of %s below 1 with no non-matching tuples", t.Profile.Pred)
+			return nil, false, fmt.Errorf("transform: cannot lower selectivity of %s below 1 with no non-matching tuples", t.Profile.Pred)
 		}
 		k := int(math.Round(theta * float64(nonMatch) / (1 - theta)))
 		if k > m {
@@ -118,27 +165,27 @@ func (t *Resample) Select(d *dataset.Dataset, rows []int, rng *rand.Rand) ([]int
 		for _, pi := range perm[:k] {
 			mask[match[pi]] = false
 		}
-		out := make([]int, 0, nonMatch+k)
+		out := s.indexBuf(nonMatch + k)
 		for j, drop := range mask {
 			if !drop {
 				out = append(out, rowOf(j))
 			}
 		}
-		return out, nil
+		return out, false, nil
 	default:
 		// Over-sample matches: total matches m' with m'/(m'+nonMatch) = θ.
 		if m == 0 {
-			return nil, fmt.Errorf("transform: cannot raise selectivity of %s from zero", t.Profile.Pred)
+			return nil, false, fmt.Errorf("transform: cannot raise selectivity of %s from zero", t.Profile.Pred)
 		}
 		target := int(math.Round(theta * float64(nonMatch) / (1 - theta)))
-		out := make([]int, 0, n+target-m)
+		out := s.indexBuf(n + target - m)
 		for j := 0; j < n; j++ {
 			out = append(out, rowOf(j))
 		}
 		for extra := 0; extra < target-m; extra++ {
 			out = append(out, rowOf(match[extra%m]))
 		}
-		return out, nil
+		return out, false, nil
 	}
 }
 

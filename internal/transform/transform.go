@@ -120,22 +120,10 @@ func (t *MapToDomain) Apply(d *dataset.Dataset, _ *rand.Rand) (*dataset.Dataset,
 		mapping[v] = domain[j]
 	}
 	out := d.Clone()
-	oc := out.MutableColumn(t.Profile.Attr)
-	for k := 0; k < oc.NumChunks(); k++ {
-		v := oc.Chunk(k)
-		var w dataset.ChunkView
-		for i := range v.Strs {
-			if v.Null[i] {
-				continue
-			}
-			if repl, ok := mapping[v.Strs[i]]; ok {
-				if w.Null == nil {
-					w = oc.MutableChunk(k) // copy/dirty only chunks that change
-				}
-				w.Strs[i] = repl
-			}
-		}
-	}
+	out.MutableColumn(t.Profile.Attr).ReplaceStrs(func(s string) (string, bool) {
+		repl, ok := mapping[s]
+		return repl, ok
+	})
 	return out, nil
 }
 
@@ -319,8 +307,8 @@ func (t *ConformText) Apply(d *dataset.Dataset, _ *rand.Rand) (*dataset.Dataset,
 	nDirty := 0
 	for k := range dirty {
 		v := c.Chunk(k)
-		for i := range v.Strs {
-			if !v.Null[i] && !t.Profile.Pattern.Matches(v.Strs[i]) {
+		for i := range v.Null {
+			if !v.Null[i] && !t.Profile.Pattern.Matches(v.Str(i)) {
 				dirty[k] = true
 				nDirty++
 				break
@@ -335,9 +323,9 @@ func (t *ConformText) Apply(d *dataset.Dataset, _ *rand.Rand) (*dataset.Dataset,
 			continue
 		}
 		w := c.MutableChunk(k)
-		for i := range w.Strs {
-			if !w.Null[i] && !t.Profile.Pattern.Matches(w.Strs[i]) {
-				w.Strs[i] = t.Profile.Pattern.Conform(w.Strs[i])
+		for i := range w.Null {
+			if s := w.Str(i); !w.Null[i] && !t.Profile.Pattern.Matches(s) {
+				w.SetStr(i, t.Profile.Pattern.Conform(s))
 			}
 		}
 	}
@@ -519,7 +507,7 @@ func (t *Impute) Apply(d *dataset.Dataset, _ *rand.Rand) (*dataset.Dataset, erro
 				if w.Null == nil {
 					w = c.MutableChunk(k) // copy/dirty only chunks with NULLs
 				}
-				w.Strs[i] = repl
+				w.SetStr(i, repl)
 				w.Null[i] = false
 			}
 		}

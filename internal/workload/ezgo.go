@@ -41,37 +41,38 @@ func NewEZGoScenario(n int, seed int64) *EZGoScenario {
 
 // genBatch synthesizes one camera batch with the given hard-case rate.
 func genBatch(n int, seed int64, hardRate float64) *dataset.Dataset {
+	// The categorical columns hold codes into these levels.
+	colors := []string{"white", "yellow", "black"}
+	lights := []string{"normal", "bright", "low"}
+	passes := []string{"yes", "no"}
+	const black, normal, low, no = 2, 0, 2, 1
 	rng := rand.New(rand.NewSource(seed))
 	plate := make([]string, n)
-	color := make([]string, n)
-	illum := make([]string, n)
-	tollPass := make([]string, n)
+	color := make([]uint32, n)
+	illum := make([]uint32, n)
+	tollPass := make([]uint32, n)
 	for i := 0; i < n; i++ {
 		plate[i] = fmt.Sprintf("%c%c-%03d", 'A'+rng.Intn(26), 'A'+rng.Intn(26), rng.Intn(1000))
 		if rng.Float64() < hardRate {
-			color[i] = "black"
-			illum[i] = "low"
-			tollPass[i] = "no"
+			color[i], illum[i], tollPass[i] = black, low, no
 			continue
 		}
-		color[i] = []string{"white", "yellow", "black"}[rng.Intn(3)]
-		illum[i] = []string{"normal", "bright", "low"}[rng.Intn(3)]
+		color[i] = uint32(rng.Intn(len(colors)))
+		illum[i] = uint32(rng.Intn(len(lights)))
 		// Most easy vehicles have a toll pass; some need (fast) OCR.
-		if rng.Float64() < 0.7 {
-			tollPass[i] = "yes"
-		} else {
-			tollPass[i] = "no"
+		if rng.Float64() >= 0.7 {
+			tollPass[i] = no
 		}
 		// Avoid accidentally minting extra hard cases among the easy pool.
-		if color[i] == "black" && illum[i] == "low" && tollPass[i] == "no" {
-			illum[i] = "normal"
+		if color[i] == black && illum[i] == low && tollPass[i] == no {
+			illum[i] = normal
 		}
 	}
 	d := dataset.New()
 	d.MustAddText("plate", plate)
-	d.MustAddCategorical("plate_color", color)
-	d.MustAddCategorical("illumination", illum)
-	d.MustAddCategorical("toll_pass", tollPass)
+	mustAddCodes(d, "plate_color", colors, color)
+	mustAddCodes(d, "illumination", lights, illum)
+	mustAddCodes(d, "toll_pass", passes, tollPass)
 	return d
 }
 
@@ -106,11 +107,11 @@ func (s *ezgoSystem) MalfunctionScore(d *dataset.Dataset) float64 {
 	for k := 0; k < toll.NumChunks(); k++ {
 		tv, cv, iv := toll.Chunk(k), color.Chunk(k), illum.Chunk(k)
 		for i := range tv.Null {
-			if !tv.Null[i] && tv.Strs[i] == "yes" {
+			if !tv.Null[i] && tv.Str(i) == "yes" {
 				total += 0.1 // transponder read
 				continue
 			}
-			if !cv.Null[i] && !iv.Null[i] && cv.Strs[i] == "black" && iv.Strs[i] == "low" {
+			if !cv.Null[i] && !iv.Null[i] && cv.Str(i) == "black" && iv.Str(i) == "low" {
 				total += slowCost
 			} else {
 				total += 1 // fast OCR

@@ -37,28 +37,29 @@ func NewIncomeScenario(n int, seed int64) *IncomeScenario {
 	}
 }
 
+// The categorical levels; the generated columns hold codes into them.
 var (
 	educations  = []string{"HS", "BS", "MS", "PhD"}
 	occupations = []string{"tech", "exec", "admin", "service"}
+	sexes       = []string{"Female", "Male"}
+	incomes     = []string{"high", "low"}
 )
 
 func genCensus(n int, seed int64, biased bool) *dataset.Dataset {
 	rng := rand.New(rand.NewSource(seed))
 	age := make([]float64, n)
 	hours := make([]float64, n)
-	edu := make([]string, n)
-	occ := make([]string, n)
-	sex := make([]string, n)
-	target := make([]string, n)
+	edu := make([]uint32, n)
+	occ := make([]uint32, n)
+	sex := make([]uint32, n)
+	target := make([]uint32, n)
 	for i := 0; i < n; i++ {
 		age[i] = 20 + rng.Float64()*45
 		hours[i] = 20 + rng.Float64()*40
-		edu[i] = educations[rng.Intn(len(educations))]
+		edu[i] = uint32(rng.Intn(len(educations)))
 		female := rng.Float64() < 0.5
-		if female {
-			sex[i] = "Female"
-		} else {
-			sex[i] = "Male"
+		if !female {
+			sex[i] = 1
 		}
 		// Occupation correlates mildly with sex: the proxy channel through
 		// which a biased label can leak into a model that never sees sex.
@@ -70,7 +71,7 @@ func genCensus(n int, seed int64, biased bool) *dataset.Dataset {
 		// Base income model: education and hours dominate, occupation is a
 		// weak factor — keeping the passing pipeline's disparate impact low.
 		p := 0.2
-		switch edu[i] {
+		switch educations[edu[i]] {
 		case "BS":
 			p += 0.18
 		case "MS":
@@ -81,7 +82,7 @@ func genCensus(n int, seed int64, biased bool) *dataset.Dataset {
 		if hours[i] > 45 {
 			p += 0.15
 		}
-		if occ[i] == "exec" || occ[i] == "tech" {
+		if o := occupations[occ[i]]; o == "exec" || o == "tech" {
 			p += 0.05
 		}
 		if biased && female {
@@ -90,33 +91,39 @@ func genCensus(n int, seed int64, biased bool) *dataset.Dataset {
 			p *= 0.1
 			hours[i] -= 12
 		}
-		if rng.Float64() < p {
-			target[i] = "high"
-		} else {
-			target[i] = "low"
+		if rng.Float64() >= p {
+			target[i] = 1
 		}
 	}
 	d := dataset.New()
 	d.MustAddNumeric("age", age)
 	d.MustAddNumeric("hours", hours)
-	d.MustAddCategorical("education", edu)
-	d.MustAddCategorical("occupation", occ)
-	d.MustAddCategorical("sex", sex)
-	d.MustAddCategorical("target", target)
+	mustAddCodes(d, "education", educations, edu)
+	mustAddCodes(d, "occupation", occupations, occ)
+	mustAddCodes(d, "sex", sexes, sex)
+	mustAddCodes(d, "target", incomes, target)
 	return d
 }
 
-func pickOcc(rng *rand.Rand, tech, exec, admin, service float64) string {
+// pickOcc draws an occupation code with the given probabilities.
+func pickOcc(rng *rand.Rand, tech, exec, admin, service float64) uint32 {
 	r := rng.Float64()
 	switch {
 	case r < tech:
-		return "tech"
+		return 0
 	case r < tech+exec:
-		return "exec"
+		return 1
 	case r < tech+exec+admin:
-		return "admin"
+		return 2
 	default:
-		return "service"
+		return 3
+	}
+}
+
+// mustAddCodes adds a categorical column of codes into a copy of levels.
+func mustAddCodes(d *dataset.Dataset, name string, levels []string, codes []uint32) {
+	if err := d.AddCategoricalCodes(name, append([]string(nil), levels...), codes, nil); err != nil {
+		panic(err)
 	}
 }
 

@@ -124,10 +124,10 @@ func (s *sentimentSystem) MalfunctionScore(d *dataset.Dataset) float64 {
 				continue
 			}
 			pred := "-1"
-			if s.lexicon.Classify(tv.Strs[i]) > 0 {
+			if s.lexicon.Classify(tv.Str(i)) > 0 {
 				pred = "1"
 			}
-			if pred != gv.Strs[i] {
+			if pred != gv.Str(i) {
 				wrong++
 			}
 		}
